@@ -16,16 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .cayley import NumericalError
-from .costvolume import (
-    FeatureMap,
-    FlowField,
-    cost_volume_bilinear,
-    decode_flow_argmax,
-    epe,
-    fl_all,
-    read_tensor,
-    write_tensor,
-)
+from .costvolume import FeatureMap, FlowField, read_tensor, write_tensor
 from .harness import (
     GAMMA_GRID,
     NOISE_GRID,
@@ -33,6 +24,7 @@ from .harness import (
     PerturbSpec,
     SyntheticSpec,
     _split,
+    check_window,
     experiment_instances,
     format_step_record,
     generate,
@@ -40,6 +32,7 @@ from .harness import (
     report,
     run_gradcheck,
     run_sweep,
+    score_pair,
     train_kernel,
 )
 from .kernel import identity_kernel, load_kernel, save_kernel
@@ -151,6 +144,7 @@ def cmd_train(args) -> int:
     opt = _optimizer(cfg)
     window = _window(cfg)
     count = int(cfg["instances"])
+    check_window(window, spec.max_displacement)
     data, _ = experiment_instances(spec, count)
     n_train, _ = _split(count)
     out = Path(args.out)
@@ -187,16 +181,12 @@ def cmd_eval(args) -> int:
     gt = FlowField(read_tensor(data_dir / "flow.lcvt"))
     signal_channels = int(cfg["synthetic"]["signal_channels"])
     f2p = perturb(f2, p, seed=seed, signal_channels=min(signal_channels, f2.channels))
-
-    u, v = window
-    flow_learned = decode_flow_argmax(cost_volume_bilinear(f1, f2p, kernel.W, u, v))
-    ident = identity_kernel(f1.channels)
-    flow_ident = decode_flow_argmax(cost_volume_bilinear(f1, f2p, ident.W, u, v))
+    scores = score_pair(f1, f2p, gt, kernel, identity_kernel(f1.channels), window)
     metrics = {
-        "aepe": epe(flow_learned, gt),
-        "fl_all": fl_all(flow_learned, gt),
-        "aepe_identity": epe(flow_ident, gt),
-        "fl_identity": fl_all(flow_ident, gt),
+        "aepe": scores["aepe_learned"],
+        "fl_all": scores["fl_learned"],
+        "aepe_identity": scores["aepe_identity"],
+        "fl_identity": scores["fl_identity"],
     }
     with open(args.out, "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)

@@ -18,6 +18,8 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -247,10 +249,16 @@ def read_tensor(path) -> np.ndarray:
         if len(dim_bytes) != 4 * rank:
             raise ValueError(f"read_tensor: truncated dimensions in {path!r}")
         shape = struct.unpack(f"<{rank}I", dim_bytes)
-        count = int(np.prod(shape)) if rank else 1
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise ValueError(f"read_tensor: truncated payload in {path!r}")
-        if fh.read(1):
+        # Sized with exact integers before reading: a forged header must not
+        # wrap the element count or ask for more memory than the file holds.
+        nbytes = 8 * math.prod(shape)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if nbytes > left:
+            raise ValueError(
+                f"read_tensor: truncated payload in {path!r}: shape {shape} "
+                f"needs {nbytes} bytes, {left} left"
+            )
+        if nbytes < left:
             raise ValueError(f"read_tensor: trailing bytes in {path!r}")
+        payload = fh.read(nbytes)
     return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()

@@ -99,9 +99,6 @@ class PerturbSpec:
         if self.patch_radius < 0:
             raise ValueError("PerturbSpec: patch_radius must be nonnegative")
 
-    def is_identity(self) -> bool:
-        return self.gamma == 1.0 and self.noise_std == 0.0 and self.patch_radius == 0
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -289,11 +286,11 @@ def _grad_w_from_costs(f1: np.ndarray, f2: np.ndarray, dC: np.ndarray) -> np.nda
 
 def matching_loss_grad_w(
     f1: FeatureMap, f2: FeatureMap, kernel: SPDKernel, gt: FlowField, u: int, v: int
-) -> tuple[float, np.ndarray]:
-    """Loss and its gradient on ``W`` for one instance."""
+) -> tuple[float, np.ndarray, float]:
+    """Loss, its gradient on ``W`` and the decoded AEPE for one instance."""
     cv = cost_volume_bilinear(f1, f2, kernel.W, u, v)
     loss, dC = matching_loss(cv, gt)
-    return loss, _grad_w_from_costs(f1.data, f2.data, dC)
+    return loss, _grad_w_from_costs(f1.data, f2.data, dC), epe(decode_flow_argmax(cv), gt)
 
 
 def train_kernel(
@@ -325,11 +322,10 @@ def train_kernel(
         train_aepe = 0.0
         dW = np.zeros((c, c))
         for f1, f2, gt in instances:
-            cv = cost_volume_bilinear(f1, f2, state.kernel.W, u, v)
-            loss_i, dC = matching_loss(cv, gt)
+            loss_i, dW_i, aepe_i = matching_loss_grad_w(f1, f2, state.kernel, gt, u, v)
             total_loss += loss_i
-            dW += _grad_w_from_costs(f1.data, f2.data, dC)
-            train_aepe += epe(decode_flow_argmax(cv), gt)
+            dW += dW_i
+            train_aepe += aepe_i
         n = len(instances)
         loss = total_loss / n
         dW /= n
@@ -373,6 +369,14 @@ def _split(instances: int) -> tuple[int, int]:
     return instances - n_eval, n_eval
 
 
+def check_window(window: tuple[int, int], max_displacement: int) -> None:
+    """Reject a window that is even or too small to hold every true match."""
+    u, v = window
+    if u % 2 == 0 or v % 2 == 0 or min(u, v) < 2 * max_displacement + 1:
+        raise ValueError(f"window {tuple(window)} must be odd and cover "
+                         f"max_displacement {max_displacement}")
+
+
 def experiment_instances(
     spec: SyntheticSpec, instances: int
 ) -> tuple[list[tuple[FeatureMap, FeatureMap, FlowField]], np.ndarray]:
@@ -385,6 +389,60 @@ def experiment_instances(
     seeds = np.random.SeedSequence(spec.seed).generate_state(2 * instances, dtype=np.uint64)
     data = [generate(replace(spec, seed=int(seeds[i]))) for i in range(instances)]
     return data, seeds
+
+
+_METRIC_NAMES = ("aepe_identity", "aepe_learned", "fl_identity", "fl_learned")
+
+
+def score_pair(
+    f1: FeatureMap, f2: FeatureMap, gt: FlowField,
+    learned: SPDKernel, ident: SPDKernel, window: tuple[int, int],
+) -> dict[str, float]:
+    """AEPE and Fl-all of one pair decoded under ``ident`` and under ``learned``.
+
+    Keys are the metric fields of :class:`ExperimentResult`.
+    """
+    u, v = window
+    scores = {}
+    for name, kernel in (("identity", ident), ("learned", learned)):
+        flow = decode_flow_argmax(cost_volume_bilinear(f1, f2, kernel.W, u, v))
+        scores[f"aepe_{name}"] = epe(flow, gt)
+        scores[f"fl_{name}"] = fl_all(flow, gt)
+    return scores
+
+
+def _train_and_score(
+    spec: SyntheticSpec,
+    points: list[PerturbSpec],
+    opt: OptimizerConfig,
+    window: tuple[int, int],
+    instances: int,
+) -> list[ExperimentResult]:
+    """Train one kernel on the clean split, then score it at every point.
+
+    Each point perturbs the second frame of every held-out instance with
+    that instance's own perturbation seed, so every point sees the same
+    corruption draws.
+    """
+    check_window(window, spec.max_displacement)
+    data, seeds = experiment_instances(spec, instances)
+    n_train, n_eval = _split(instances)
+    learned, state, _ = train_kernel(data[:n_train], opt, window)
+    ident = identity_kernel(spec.channels)
+
+    results = []
+    for p in points:
+        sums = dict.fromkeys(_METRIC_NAMES, 0.0)
+        for j, (f1, f2, gt) in enumerate(data[n_train:]):
+            f2p = perturb(f2, p, seed=int(seeds[instances + n_train + j]),
+                          signal_channels=spec.signal_channels)
+            for name, value in score_pair(f1, f2p, gt, learned, ident, window).items():
+                sums[name] += value
+        results.append(ExperimentResult(
+            **{name: total / n_eval for name, total in sums.items()},
+            steps=state.step, seed=spec.seed, perturb=p,
+        ))
+    return results
 
 
 def run_experiment(
@@ -401,40 +459,7 @@ def run_experiment(
     split is the deterministic 80/20 prefix split, and training starts
     from the identity kernel.
     """
-    u, v = window
-    if u % 2 == 0 or v % 2 == 0 or u < 1 or v < 1:
-        raise ValueError(f"run_experiment: window extents must be odd, got {window}")
-    if spec.max_displacement > min((u - 1) // 2, (v - 1) // 2):
-        raise ValueError("run_experiment: window cannot cover max_displacement")
-
-    data, seeds = experiment_instances(spec, instances)
-    n_train, n_eval = _split(instances)
-    train = data[:n_train]
-    held_out = data[n_train:]
-
-    learned, state, _ = train_kernel(train, opt, window)
-    ident = identity_kernel(spec.channels)
-
-    sums = dict(ai=0.0, al=0.0, fi=0.0, fl=0.0)
-    for j, (f1, f2, gt) in enumerate(held_out):
-        f2p = perturb(f2, p, seed=int(seeds[instances + n_train + j]),
-                      signal_channels=spec.signal_channels)
-        flow_i = decode_flow_argmax(cost_volume_bilinear(f1, f2p, ident.W, u, v))
-        flow_l = decode_flow_argmax(cost_volume_bilinear(f1, f2p, learned.W, u, v))
-        sums["ai"] += epe(flow_i, gt)
-        sums["al"] += epe(flow_l, gt)
-        sums["fi"] += fl_all(flow_i, gt)
-        sums["fl"] += fl_all(flow_l, gt)
-
-    return ExperimentResult(
-        aepe_identity=sums["ai"] / n_eval,
-        aepe_learned=sums["al"] / n_eval,
-        fl_identity=sums["fi"] / n_eval,
-        fl_learned=sums["fl"] / n_eval,
-        steps=state.step,
-        seed=spec.seed,
-        perturb=p,
-    )
+    return _train_and_score(spec, [p], opt, window, instances)[0]
 
 
 GAMMA_GRID = (0.2, 0.3, 0.4, 0.5, 0.7, 1.0, 2.0, 3.0)
@@ -459,47 +484,19 @@ def run_sweep(
     calling :func:`run_experiment` point by point, just without the
     redundant retraining.
     """
-    u, v = window
     points = (
         [PerturbSpec(gamma=g) for g in gamma_grid]
         + [PerturbSpec(noise_std=s) for s in noise_grid]
         + [PerturbSpec(patch_radius=r) for r in patch_grid]
     )
-    results = []
-    for seed in seeds:
-        sspec = replace(spec, seed=int(seed))
-        data, inst_seeds = experiment_instances(sspec, instances)
-        n_train, n_eval = _split(instances)
-        learned, state, _ = train_kernel(data[:n_train], opt, window)
-        ident = identity_kernel(sspec.channels)
-        for p in points:
-            sums = dict(ai=0.0, al=0.0, fi=0.0, fl=0.0)
-            for j, (f1, f2, gt) in enumerate(data[n_train:]):
-                f2p = perturb(f2, p, seed=int(inst_seeds[instances + n_train + j]),
-                              signal_channels=sspec.signal_channels)
-                flow_i = decode_flow_argmax(cost_volume_bilinear(f1, f2p, ident.W, u, v))
-                flow_l = decode_flow_argmax(cost_volume_bilinear(f1, f2p, learned.W, u, v))
-                sums["ai"] += epe(flow_i, gt)
-                sums["al"] += epe(flow_l, gt)
-                sums["fi"] += fl_all(flow_i, gt)
-                sums["fl"] += fl_all(flow_l, gt)
-            results.append(ExperimentResult(
-                aepe_identity=sums["ai"] / n_eval,
-                aepe_learned=sums["al"] / n_eval,
-                fl_identity=sums["fi"] / n_eval,
-                fl_learned=sums["fl"] / n_eval,
-                steps=state.step,
-                seed=sspec.seed,
-                perturb=p,
-            ))
-    return results
+    return [r for seed in seeds
+            for r in _train_and_score(replace(spec, seed=int(seed)), points, opt, window, instances)]
 
 
 _CSV_COLUMNS = (
     "seed", "gamma", "noise_std", "patch_radius", "steps",
     "aepe_identity", "aepe_learned", "fl_identity", "fl_learned",
 )
-_METRIC_NAMES = ("aepe_identity", "aepe_learned", "fl_identity", "fl_learned")
 
 
 def report(results: list[ExperimentResult], out_dir) -> tuple[Path, Path]:
@@ -623,7 +620,7 @@ def run_gradcheck(
             return matching_loss_grad_w(f1, f2, k, gt, 3, 3)[0]
 
         kernel = assemble_kernel(s, t)
-        _, dW = matching_loss_grad_w(f1, f2, kernel, gt, 3, 3)
+        _, dW, _ = matching_loss_grad_w(f1, f2, kernel, gt, 3, 3)
         analytic = kernel_grad(kernel, dW)
         numeric = finite_difference_oracle(match_loss, s, t, eps=eps)
         err = _grad_rel_error(analytic, numeric)

@@ -10,6 +10,7 @@ plain correlation" initialization.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -233,11 +234,16 @@ def load_kernel(path) -> SPDKernel:
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"load_kernel: unsupported version {version}")
         n_skew = dim * (dim - 1) // 2
-        payload = fh.read(8 * (n_skew + dim))
-        if len(payload) != 8 * (n_skew + dim):
-            raise ValueError(f"load_kernel: truncated payload in {path!r}")
-        if fh.read(1):
+        nbytes = 8 * (n_skew + dim)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if nbytes > left:
+            raise ValueError(
+                f"load_kernel: truncated payload in {path!r}: dim {dim} "
+                f"needs {nbytes} bytes, {left} left"
+            )
+        if nbytes < left:
             raise ValueError(f"load_kernel: trailing bytes in {path!r}")
+        payload = fh.read(nbytes)
     values = np.frombuffer(payload, dtype="<f8")
     s = SkewParams(entries=values[:n_skew].copy(), dim=dim)
     t = DiagParams(t=values[n_skew:].copy())

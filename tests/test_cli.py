@@ -11,6 +11,7 @@ import importlib.metadata
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ import pytest
 from lcv.cli import DEFAULT_CONFIG, load_config, main
 from lcv.costvolume import read_tensor
 from lcv.harness import parse_step_record
-from lcv.kernel import load_kernel
+from lcv.kernel import identity_kernel, load_kernel, save_kernel
 
 
 @pytest.fixture
@@ -139,6 +140,15 @@ class TestTrain:
         main(["train", "--config", tiny_config, "--out", str(p2)])
         assert (tmp_path / "r1.lcvk").read_bytes() == (tmp_path / "r2.lcvk").read_bytes()
 
+    @pytest.mark.parametrize("window", [[3, 3], [4, 5]])
+    def test_bad_window_exits_1_before_writing(self, tmp_path, capsys, window):
+        # The default max_displacement of 2 needs at least a 5x5 window.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"window": window}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "ck")]) == 1
+        assert "cover" in capsys.readouterr().err
+        assert not (tmp_path / "ck.step0.lcvk").exists()
+
 
 class TestEval:
     def test_scores_checkpoint_against_stored_data(self, tmp_path, tiny_config):
@@ -175,6 +185,22 @@ class TestEval:
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.lcvk"),
                    "--data", str(data), "--out", str(tmp_path / "m.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize("name, header", [
+        pytest.param("f1.lcvt", struct.pack("<4sBB3I", b"LCVT", 1, 3, 65536, 65536, 16), id="tensor"),
+        pytest.param("id.lcvk", struct.pack("<4sBI", b"LCVK", 1, 2**32 - 1), id="checkpoint"),
+    ])
+    def test_oversized_header_exits_1(self, tmp_path, tiny_config, capsys, name, header):
+        data = tmp_path / "data"
+        main(["generate", "--config", tiny_config, "--out", str(data)])
+        checkpoint = tmp_path / "id.lcvk"
+        save_kernel(checkpoint, identity_kernel(4))
+        target = checkpoint if name == "id.lcvk" else data / name
+        target.write_bytes(header)
+        rc = main(["eval", "--checkpoint", str(checkpoint),
+                   "--data", str(data), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert name in capsys.readouterr().err
 
     def test_missing_data_exits_1(self, tmp_path, tiny_config):
         prefix = tmp_path / "ck"

@@ -6,6 +6,8 @@ bounds checks, then frozen here.  Every other numeric expectation is
 either derived in-test by a brute-force oracle or computed by hand.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,18 @@ class TestTensorFiles:
         write_tensor(path, np.zeros((3, 3)))
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValueError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("shape", [
+        (65536, 65536, 16),  # 512 GiB of payload
+        (2**31, 2**31, 4),  # element count wraps int64 to 0
+        (2**20, 2**20),
+    ])
+    def test_header_larger_than_file_rejected(self, tmp_path, shape):
+        path = tmp_path / "big.lcvt"
+        rank = len(shape)
+        path.write_bytes(struct.pack(f"<4sBB{rank}I", b"LCVT", 1, rank, *shape))
+        with pytest.raises(ValueError, match="big.lcvt"):
             read_tensor(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

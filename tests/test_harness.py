@@ -230,7 +230,7 @@ class TestMatchingLoss:
         f2 = FeatureMap(rng.standard_normal((c, 4, 4)))
         gt = FlowField(rng.integers(-1, 2, (2, 4, 4)).astype(float))
         k = identity_kernel(c)
-        loss0, dW = matching_loss_grad_w(f1, f2, k, gt, 3, 3)
+        loss0, dW, _ = matching_loss_grad_w(f1, f2, k, gt, 3, 3)
         D = rng.standard_normal((c, c))
         eps = 1e-6
 
@@ -324,6 +324,13 @@ class TestSweep:
         )
         assert len(results) == 6
         assert {r.seed for r in results} == {1, 2}
+
+    def test_window_must_cover_displacement(self):
+        spec = SyntheticSpec(height=10, width=10, signal_channels=2,
+                             noise_channels=0, max_displacement=2, seed=0)
+        with pytest.raises(ValueError, match="cover"):
+            run_sweep(spec, FAST_OPT, (3, 3), [0], gamma_grid=(0.5,),
+                      noise_grid=(), patch_grid=(), instances=2)
 
 
 def fake_result(seed, perturb, base=1.0):

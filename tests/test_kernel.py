@@ -5,6 +5,8 @@ trace loss L = <I, W>, the chain rule collapses to d_skew = 0 and
 d_diag = 4/pi per channel (the diagonal map's slope at zero).
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,13 @@ class TestSerialization:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
+            load_kernel(path)
+
+    @pytest.mark.parametrize("dim", [2**32 - 1, 2**31, 2**20])
+    def test_header_larger_than_file_rejected(self, tmp_path, dim):
+        path = tmp_path / "big.lcvk"
+        path.write_bytes(struct.pack("<4sBI", b"LCVK", 1, dim))
+        with pytest.raises(ValueError, match="big.lcvk"):
             load_kernel(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
