@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 ORTHOGONALITY_TOL = 1e-10
 SO_STAR_MARGIN = 1e-8
@@ -304,6 +303,10 @@ def so_star_path(P: OrthogonalMatrix, steps: int) -> list[OrthogonalMatrix]:
             f"(eigenvalue nearest -1 is {check.nearest_eigenvalue})",
             nearest_eigenvalue=check.nearest_eigenvalue,
         )
+    # Imported here: scipy.linalg is the largest import in the package and
+    # only this path needs it.
+    import scipy.linalg
+
     T, Q = scipy.linalg.schur(P.values, output="real")
     n = T.shape[0]
 

@@ -107,23 +107,21 @@ def _check_pair(f1: FeatureMap, f2: FeatureMap, u: int, v: int) -> None:
         raise ValueError(f"cost volume: window extents must be odd and positive, got {(u, v)}")
 
 
-def _padded(f2: np.ndarray, u: int, v: int) -> np.ndarray:
-    c, h, w = f2.shape
+def _correlate(f1: np.ndarray, f2: np.ndarray, W: np.ndarray | None, u: int, v: int) -> np.ndarray:
+    """Costs ``(u * v, h, w)`` of ``f1`` against ``W f2`` (``f2`` itself when
+    ``W`` is None), one plane per window cell in row-major order.
+
+    The channel reduction order is fixed, so repeated runs are bitwise
+    identical.
+    """
+    c, h, w = f1.shape
     ru, rv = (u - 1) // 2, (v - 1) // 2
-    out = np.zeros((c, h + u - 1, w + v - 1))
-    out[:, ru : ru + h, rv : rv + w] = f2
-    return out
-
-
-def _correlate(f1: np.ndarray, f2: np.ndarray, u: int, v: int) -> np.ndarray:
-    """Window correlation; channel reduction order is fixed, so repeated
-    runs are bitwise identical."""
-    h, w = f1.shape[1:]
-    f2p = _padded(f2, u, v)
-    out = np.empty((u, v, h, w))
+    f2p = np.zeros((c, h + u - 1, w + v - 1))
+    f2p[:, ru : ru + h, rv : rv + w] = f2 if W is None else (W @ f2.reshape(c, -1)).reshape(f2.shape)
+    out = np.empty((u * v, h, w))
     for k in range(u):
         for l in range(v):
-            out[k, l] = np.einsum("chw,chw->hw", f1, f2p[:, k : k + h, l : l + w])
+            np.einsum("chw,chw->hw", f1, f2p[:, k : k + h, l : l + w], out=out[k * v + l])
     return out
 
 
@@ -138,14 +136,13 @@ def cost_volume_bilinear(f1: FeatureMap, f2: FeatureMap, W: np.ndarray, u: int, 
     c = f1.channels
     if W.shape != (c, c):
         raise ValueError(f"cost_volume_bilinear: W shape {W.shape}, expected {(c, c)}")
-    g2 = (W @ f2.data.reshape(c, -1)).reshape(f2.data.shape)
-    return CostVolume(_correlate(f1.data, g2, u, v))
+    return CostVolume(_correlate(f1.data, f2.data, W, u, v).reshape(u, v, f1.height, f1.width))
 
 
 def vanilla_cost_volume(f1: FeatureMap, f2: FeatureMap, u: int, v: int) -> CostVolume:
     """Plain inner-product cost volume over a ``u x v`` displacement window."""
     _check_pair(f1, f2, u, v)
-    return CostVolume(_correlate(f1.data, f2.data, u, v))
+    return CostVolume(_correlate(f1.data, f2.data, None, u, v).reshape(u, v, f1.height, f1.width))
 
 
 def learnable_cost_volume(f1: FeatureMap, f2: FeatureMap, kernel: SPDKernel, u: int, v: int) -> CostVolume:
@@ -174,6 +171,26 @@ def wssd(f1: np.ndarray, f2: np.ndarray, kernel: SPDKernel) -> float:
     return float(d @ kernel.W @ d)
 
 
+def _cells_by_magnitude(u: int, v: int) -> np.ndarray:
+    """Window cells in row-major index, sorted stably by displacement magnitude."""
+    dk = np.arange(u) - (u - 1) // 2
+    dl = np.arange(v) - (v - 1) // 2
+    return np.argsort((dk[:, None] ** 2 + dl[None, :] ** 2).reshape(-1), kind="stable")
+
+
+def _winners(costs: np.ndarray, best: np.ndarray, order: np.ndarray, v: int) -> FlowField:
+    """Flow of the first cell in ``order`` whose cost reaches the pixel's ``best``.
+
+    ``costs`` is ``(u * v, h, w)`` in row-major window order and ``best``
+    its maximum over the cells.
+    """
+    u = costs.shape[0] // v
+    idx = order[(costs == best)[order].argmax(axis=0)]
+    flow_v = idx // v - (u - 1) // 2
+    flow_h = idx % v - (v - 1) // 2
+    return FlowField(np.stack([flow_h.astype(float), flow_v.astype(float)]))
+
+
 def decode_flow_argmax(cv: CostVolume) -> FlowField:
     """Winner-take-all flow: per pixel, the displacement of the largest cost.
 
@@ -181,18 +198,8 @@ def decode_flow_argmax(cv: CostVolume) -> FlowField:
     then by row-major window order, so decoding is deterministic.
     """
     u, v, h, w = cv.data.shape
-    ru, rv = (u - 1) // 2, (v - 1) // 2
     flat = cv.data.reshape(u * v, h, w)
-    dk = np.arange(u) - ru
-    dl = np.arange(v) - rv
-    mag2 = (dk[:, None] ** 2 + dl[None, :] ** 2).reshape(-1).astype(float)
-    best = flat.max(axis=0)
-    # argmin scans in row-major cell order, which supplies the final tie-break.
-    ranked = np.where(flat == best, mag2[:, None, None], np.inf)
-    idx = ranked.argmin(axis=0)
-    flow_v = idx // v - ru
-    flow_h = idx % v - rv
-    return FlowField(np.stack([flow_h.astype(float), flow_v.astype(float)]))
+    return _winners(flat, flat.max(axis=0), _cells_by_magnitude(u, v), v)
 
 
 def epe(pred: FlowField, gt: FlowField) -> float:

@@ -16,6 +16,7 @@ random-content disc) corrupt the second frame at evaluation time.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 from dataclasses import dataclass, replace
@@ -23,13 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .cayley import dlambda_dt
+from .cayley import NumericalError, dlambda_dt
 from .costvolume import (
     FeatureMap,
     FlowField,
-    _padded,
+    _cells_by_magnitude,
+    _check_pair,
+    _correlate,
+    _winners,
     cost_volume_bilinear,
-    decode_flow_argmax,
     epe,
     fl_all,
 )
@@ -239,6 +242,34 @@ def perturb(
     return FeatureMap(data)
 
 
+def _labels(gt: FlowField, u: int, v: int) -> np.ndarray:
+    """Row-major window cell of every pixel's ground-truth displacement."""
+    ru, rv = (u - 1) // 2, (v - 1) // 2
+    dx = np.rint(gt.data[0]).astype(int)
+    dy = np.rint(gt.data[1]).astype(int)
+    if np.any(np.abs(dx) > rv) or np.any(np.abs(dy) > ru):
+        raise ValueError("matching_loss: ground-truth flow falls outside the window")
+    return (dy + ru) * v + (dx + rv)
+
+
+def _softmax_xent(Z: np.ndarray, best: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of the logits ``Z`` ``(cells, h, w)`` against ``labels``.
+
+    ``best`` is the per-pixel maximum of ``Z``.  Works in place: on return
+    ``Z`` holds the gradient of the mean loss with respect to every logit.
+    """
+    Z -= best
+    picked = np.take_along_axis(Z, labels[None], axis=0)[0]
+    np.exp(Z, out=Z)
+    denom = Z.sum(axis=0)
+    loss = float(-(picked - np.log(denom)).mean())
+    Z /= denom
+    hit = np.take_along_axis(Z, labels[None], axis=0) - 1.0
+    np.put_along_axis(Z, labels[None], hit, axis=0)
+    Z /= labels.size
+    return loss
+
+
 def matching_loss(cv, gt: FlowField) -> tuple[float, np.ndarray]:
     """Per-pixel softmax cross-entropy over the displacement window.
 
@@ -247,50 +278,107 @@ def matching_loss(cv, gt: FlowField) -> tuple[float, np.ndarray]:
     gradient with respect to every cost entry.
     """
     u, v, h, w = cv.data.shape
-    ru, rv = (u - 1) // 2, (v - 1) // 2
-    dx = np.rint(gt.data[0]).astype(int)
-    dy = np.rint(gt.data[1]).astype(int)
-    if np.any(np.abs(dx) > rv) or np.any(np.abs(dy) > ru):
-        raise ValueError("matching_loss: ground-truth flow falls outside the window")
-    labels = (dy + ru) * v + (dx + rv)
+    labels = _labels(gt, u, v)
+    Z = cv.data.reshape(u * v, h, w).copy()
+    loss = _softmax_xent(Z, Z.max(axis=0), labels)
+    return loss, Z.reshape(u, v, h, w)
 
-    Z = cv.data.reshape(u * v, h, w)
-    Zs = Z - Z.max(axis=0)
-    E = np.exp(Zs)
-    denom = E.sum(axis=0)
-    logp = np.take_along_axis(Zs, labels[None], axis=0)[0] - np.log(denom)
-    loss = float(-logp.mean())
 
-    dC = E / denom
-    hit = np.take_along_axis(dC, labels[None], axis=0) - 1.0
-    np.put_along_axis(dC, labels[None], hit, axis=0)
-    dC /= h * w
-    return loss, dC.reshape(u, v, h, w)
+@functools.lru_cache(maxsize=4)
+def _window_pattern(h: int, w: int, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the window correlation as a sparse
+    ``(h * w, padded pixels)`` matrix, shared by every pair of one geometry.
+
+    Entry ``o * h * w + p`` links pixel ``p`` to its target under window
+    cell ``o`` in the zero-padded frame, so the entries run through the
+    cells in row-major order, as the costs do.
+    """
+    i, j = np.divmod(np.arange(h * w, dtype=np.int32), w)
+    cells = np.arange(u, dtype=np.int32)[:, None] * (w + v - 1) + np.arange(v, dtype=np.int32)
+    rows = np.tile(np.arange(h * w, dtype=np.int32), u * v)
+    cols = (cells.reshape(-1, 1) + (i * (w + v - 1) + j)).reshape(-1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _grad_w_from_costs(f1: np.ndarray, f2: np.ndarray, dC: np.ndarray) -> np.ndarray:
-    """Chain a cost-volume gradient back to the kernel matrix.
+    """Chain a cost-volume gradient ``dC`` ``(u, v, h, w)`` back to the kernel matrix.
 
     ``dL/dW[a, b] = sum_klij dC[k,l,i,j] f1[a,i,j] f2[b, i+k-ru, j+l-rv]``
-    with zero padding outside the second frame.
+    with zero padding outside the second frame, which comes already
+    padded and channel-last, ``((h + u - 1) * (w + v - 1), c)``.  The
+    inner sum is one sparse product ``M f2`` whose data is a view of
+    ``dC``; each pixel adds its cells in row-major window order.
     """
-    u, v = dC.shape[:2]
-    c, h, w = f1.shape
-    f2p = _padded(f2, u, v)
-    B = np.zeros((c, h, w))
-    for k in range(u):
-        for l in range(v):
-            B += dC[k, l] * f2p[:, k : k + h, l : l + w]
-    return f1.reshape(c, -1) @ B.reshape(c, -1).T
+    from scipy.sparse import coo_array
+
+    u, v, h, w = dC.shape
+    c = f1.shape[0]
+    M = coo_array((dC.reshape(-1), _window_pattern(h, w, u, v)),
+                  shape=(h * w, (h + u - 1) * (w + v - 1)))
+    B = M @ f2
+    # OpenBLAS rounds this product differently for other operand layouts;
+    # B goes in channel-first, as the per-cell loop used to produce it.
+    return f1.reshape(c, -1) @ np.ascontiguousarray(B.T).T
+
+
+class _MatchingProblem:
+    """One pair ``(f1, f2, gt)`` under a ``u x v`` window, scored for many kernels.
+
+    What does not depend on ``W`` is prepared once: the window cells in
+    decoding order and, at the first gradient, the labels and the
+    zero-padded, channel-last second frame that the backward multiplies.
+    ``loss_grad`` runs the forward once and takes the decode, the loss and
+    the gradient from that one cost tensor.
+    """
+
+    def __init__(self, f1: FeatureMap, f2: FeatureMap, gt: FlowField, window: tuple[int, int]):
+        u, v = window
+        _check_pair(f1, f2, u, v)
+        self.f1, self.f2, self.gt = f1.data, f2.data, gt
+        self.u, self.v = u, v
+        self.order = _cells_by_magnitude(u, v)
+        self._labels = None
+        self._f2_padded = None
+
+    def _costs(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Costs ``(u * v, h, w)`` under ``W`` and their per-pixel maximum."""
+        c = self.f1.shape[0]
+        if W.shape != (c, c):
+            raise ValueError(f"matching: W shape {W.shape}, expected {(c, c)}")
+        Z = _correlate(self.f1, self.f2, W, self.u, self.v)
+        best = Z.max(axis=0)
+        if not (np.isfinite(Z.min()) and np.isfinite(best.max())):
+            raise NumericalError("matching: the costs under this kernel are not finite")
+        return Z, best
+
+    def decode(self, W: np.ndarray) -> FlowField:
+        """Winner-take-all flow under ``W``, as :func:`decode_flow_argmax`."""
+        Z, best = self._costs(W)
+        return _winners(Z, best, self.order, self.v)
+
+    def loss_grad(self, W: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """Mean matching loss, its gradient on ``W`` and the AEPE of the decode."""
+        u, v = self.u, self.v
+        c, h, w = self.f1.shape
+        if self._labels is None:
+            ru, rv = (u - 1) // 2, (v - 1) // 2
+            padded = np.zeros((h + u - 1, w + v - 1, c))
+            padded[ru : ru + h, rv : rv + w] = self.f2.transpose(1, 2, 0)
+            self._labels = _labels(self.gt, u, v)
+            self._f2_padded = padded.reshape(-1, c)
+        Z, best = self._costs(W)
+        aepe = epe(_winners(Z, best, self.order, v), self.gt)
+        loss = _softmax_xent(Z, best, self._labels)
+        return loss, _grad_w_from_costs(self.f1, self._f2_padded, Z.reshape(u, v, h, w)), aepe
 
 
 def matching_loss_grad_w(
     f1: FeatureMap, f2: FeatureMap, kernel: SPDKernel, gt: FlowField, u: int, v: int
 ) -> tuple[float, np.ndarray, float]:
     """Loss, its gradient on ``W`` and the decoded AEPE for one instance."""
-    cv = cost_volume_bilinear(f1, f2, kernel.W, u, v)
-    loss, dC = matching_loss(cv, gt)
-    return loss, _grad_w_from_costs(f1.data, f2.data, dC), epe(decode_flow_argmax(cv), gt)
+    return _MatchingProblem(f1, f2, gt, (u, v)).loss_grad(kernel.W)
 
 
 def train_kernel(
@@ -309,7 +397,7 @@ def train_kernel(
     """
     if not instances:
         raise ValueError("train_kernel: need at least one instance")
-    u, v = window
+    problems = [_MatchingProblem(f1, f2, gt, window) for f1, f2, gt in instances]
     c = instances[0][0].channels
     state = initial_state(c)
     records: list[StepRecord] = []
@@ -321,8 +409,8 @@ def train_kernel(
         total_loss = 0.0
         train_aepe = 0.0
         dW = np.zeros((c, c))
-        for f1, f2, gt in instances:
-            loss_i, dW_i, aepe_i = matching_loss_grad_w(f1, f2, state.kernel, gt, u, v)
+        for problem in problems:
+            loss_i, dW_i, aepe_i = problem.loss_grad(state.kernel.W)
             total_loss += loss_i
             dW += dW_i
             train_aepe += aepe_i
@@ -353,10 +441,15 @@ def train_kernel(
 
         if grad_norm < opt.grad_tolerance or state.step >= opt.max_steps:
             break
-        if opt.mode == "cayley":
-            state = cayley_sgd_step(state, grad, opt.learning_rate, loss=loss)
-        else:
-            state = stiefel_sgd_step(state, dL_dP, opt.learning_rate, d_diag=d_diag, loss=loss)
+        try:
+            if opt.mode == "cayley":
+                state = cayley_sgd_step(state, grad, opt.learning_rate, loss=loss)
+            else:
+                state = stiefel_sgd_step(state, dL_dP, opt.learning_rate, d_diag=d_diag, loss=loss)
+        except ValueError as err:
+            # The inputs were valid, so a rejected kernel means the step overflowed.
+            raise NumericalError(
+                f"train_kernel: step {state.step + 1} left the SPD chart: {err}") from err
 
     return best_kernel, state, records
 
@@ -402,10 +495,10 @@ def score_pair(
 
     Keys are the metric fields of :class:`ExperimentResult`.
     """
-    u, v = window
+    problem = _MatchingProblem(f1, f2, gt, window)
     scores = {}
     for name, kernel in (("identity", ident), ("learned", learned)):
-        flow = decode_flow_argmax(cost_volume_bilinear(f1, f2, kernel.W, u, v))
+        flow = problem.decode(kernel.W)
         scores[f"aepe_{name}"] = epe(flow, gt)
         scores[f"fl_{name}"] = fl_all(flow, gt)
     return scores
@@ -615,9 +708,11 @@ def run_gradcheck(
         s = SkewParams(entries=rng.uniform(-0.5, 0.5, c * (c - 1) // 2), dim=c)
         t = DiagParams(t=rng.uniform(-0.5, 0.5, c))
 
+        # The probes take the loss through the public cost volume, without
+        # the sparse backward and the decode that the analytic side runs.
         def match_loss(sp, tp, f1=f1, f2=f2, gt=gt):
-            k = assemble_kernel(sp, tp)
-            return matching_loss_grad_w(f1, f2, k, gt, 3, 3)[0]
+            cv = cost_volume_bilinear(f1, f2, assemble_kernel(sp, tp).W, 3, 3)
+            return matching_loss(cv, gt)[0]
 
         kernel = assemble_kernel(s, t)
         _, dW, _ = matching_loss_grad_w(f1, f2, kernel, gt, 3, 3)

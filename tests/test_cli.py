@@ -7,8 +7,11 @@ so that the entry point is resolved, called and exited the way an
 installed ``lcv`` executable does it.
 """
 
+import contextlib
 import importlib.metadata
+import io
 import json
+import math
 import os
 import shutil
 import struct
@@ -18,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcv.cli import DEFAULT_CONFIG, load_config, main
 from lcv.costvolume import read_tensor
@@ -50,6 +55,46 @@ def tiny_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def stored_pair(tmp_path_factory):
+    """A generated pair, a copy of it to corrupt, and an identity checkpoint.
+
+    Tests that corrupt a file of the copy restore it from the original."""
+    root = tmp_path_factory.mktemp("stored")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps({"synthetic": {"height": 8, "width": 8, "signal_channels": 2,
+                                             "noise_channels": 2, "max_displacement": 1},
+                               "window": [3, 3]}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    shutil.copytree(root / "data", root / "fuzzed")
+    save_kernel(root / "ck.lcvk", identity_kernel(4))
+    return root
+
+
+@st.composite
+def malformed_inputs(draw):
+    """A tensor or checkpoint cut inside its header or sized unlike its
+    header: rank up to 255, dimensions near 2**32.  Returns the file name
+    and its bytes."""
+    name = draw(st.sampled_from(["f1.lcvt", "flow.lcvt", "fuzz.lcvk"]))
+    big = st.integers(2**32 - 8, 2**32 - 1)
+    if name == "fuzz.lcvk":
+        dim = draw(st.one_of(st.integers(0, 6), big))
+        header = struct.pack("<4sBI", b"LCVK", 1, dim)
+        declared = 8 * (dim * (dim - 1) // 2 + dim)
+    else:
+        rank = draw(st.integers(0, 255))
+        dims = draw(st.lists(st.one_of(st.integers(0, 9), big), max_size=min(rank, 4)))
+        dims += [1] * (rank - len(dims))
+        header = struct.pack(f"<4sBB{rank}I", b"LCVT", 1, rank, *dims)
+        declared = 8 * math.prod(dims)
+    cut = draw(st.one_of(st.none(), st.integers(0, len(header) - 1)))
+    if cut is not None:
+        return name, header[:cut]
+    return name, header + bytes(draw(st.integers(0, 256).filter(lambda n: n != declared)))
 
 
 class TestConfig:
@@ -149,6 +194,18 @@ class TestTrain:
         assert "cover" in capsys.readouterr().err
         assert not (tmp_path / "ck.step0.lcvk").exists()
 
+    def test_numerical_blow_up_exits_2(self, tmp_path, tiny_config, capsys):
+        cfg = json.loads(Path(tiny_config).read_text())
+        cfg["optimizer"]["learning_rate"] = 1e30
+        path = tmp_path / "blow_up.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--config", str(path), "--out", str(tmp_path / "ck")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerical error" in err
+        assert "step 1" in err
+
 
 class TestEval:
     def test_scores_checkpoint_against_stored_data(self, tmp_path, tiny_config):
@@ -201,6 +258,28 @@ class TestEval:
                    "--data", str(data), "--out", str(tmp_path / "m.json")])
         assert rc == 1
         assert name in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(malformed_inputs())
+    def test_fuzzed_inputs_exit_1(self, stored_pair, case):
+        name, data = case
+        checkpoint, pair = stored_pair / "ck.lcvk", stored_pair / "data"
+        if name == "fuzz.lcvk":
+            checkpoint = stored_pair / name
+            checkpoint.write_bytes(data)
+        else:
+            pair = stored_pair / "fuzzed"
+            (pair / name).write_bytes(data)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["eval", "--checkpoint", str(checkpoint), "--data", str(pair),
+                           "--out", str(stored_pair / "m.json")])
+        finally:
+            shutil.copy(stored_pair / "data" / "f1.lcvt", stored_pair / "fuzzed")
+            shutil.copy(stored_pair / "data" / "flow.lcvt", stored_pair / "fuzzed")
+        assert rc == 1
+        assert name in err.getvalue()
 
     def test_missing_data_exits_1(self, tmp_path, tiny_config):
         prefix = tmp_path / "ck"

@@ -6,10 +6,13 @@ bounds checks, then frozen here.  Every other numeric expectation is
 either derived in-test by a brute-force oracle or computed by hand.
 """
 
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcv.cayley import DiagParams, SkewParams
 from lcv.costvolume import (
@@ -348,3 +351,52 @@ class TestTensorFiles:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(ValueError):
             read_tensor(path)
+
+
+# Dimensions a forged header might declare: empty and small ones, and
+# ones near 2**31 and 2**32 whose products overflow int64.
+FUZZ_DIMS = st.one_of(
+    st.integers(0, 3),
+    st.integers(2**31 - 2, 2**31 + 2),
+    st.integers(2**32 - 8, 2**32 - 1),
+)
+
+
+@st.composite
+def lcvt_bytes(draw):
+    """An LCVT file that may be cut short anywhere, forge its rank and
+    dimensions, or carry a payload shorter or longer than declared.
+
+    Returns the bytes and the declared shape, or None when the reader
+    must reject the file."""
+    rank = draw(st.integers(0, 255))
+    # A few drawn dimensions, then one repeated filler up to the rank.
+    dims = draw(st.lists(FUZZ_DIMS, max_size=min(rank, 6)))
+    dims += [draw(st.integers(0, 2))] * (rank - len(dims))
+    magic = draw(st.sampled_from([b"LCVT", b"LCVT", b"LCVK"]))
+    version = draw(st.sampled_from([1, 1, 0, 2]))
+    header = struct.pack(f"<4sBB{rank}I", magic, version, rank, *dims)
+    declared = 8 * math.prod(dims)
+    length = draw(st.one_of(st.integers(0, 64), st.just(declared if declared <= 4096 else 0)))
+    cut = draw(st.one_of(st.none(), st.integers(0, len(header) - 1)))
+    if cut is not None:
+        return header[:cut], None
+    valid = magic == b"LCVT" and version == 1 and length == declared
+    return header + bytes(length), tuple(dims) if valid else None
+
+
+class TestTensorFileFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(lcvt_bytes())
+    def test_malformed_files_raise_only_value_error(self, tmp_path_factory, case):
+        data, shape = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.lcvt"
+        path.write_bytes(data)
+        try:
+            arr = read_tensor(path)
+        except ValueError:
+            # Well-formed files may still declare more axes or a larger
+            # (empty) shape than numpy can hold.
+            return
+        assert shape is not None and arr.shape == shape
+

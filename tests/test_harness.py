@@ -11,7 +11,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lcv.cayley import DiagParams, NumericalError, SkewParams
 from lcv.costvolume import (
     FeatureMap,
     FlowField,
@@ -25,6 +28,7 @@ from lcv.harness import (
     PerturbSpec,
     StepRecord,
     SyntheticSpec,
+    _MatchingProblem,
     experiment_instances,
     format_step_record,
     generate,
@@ -38,8 +42,8 @@ from lcv.harness import (
     run_sweep,
     train_kernel,
 )
-from lcv.kernel import identity_kernel
-from lcv.optim import OptimizerConfig
+from lcv.kernel import assemble_kernel, identity_kernel, kernel_grad
+from lcv.optim import OptimizerConfig, finite_difference_oracle
 
 TINY = SyntheticSpec(height=12, width=12, signal_channels=2, noise_channels=2,
                      max_displacement=1, seed=3)
@@ -240,6 +244,154 @@ class TestMatchingLoss:
 
         fd = (loss_at(k.W + eps * D) - loss_at(k.W - eps * D)) / (2 * eps)
         assert float(np.sum(dW * D)) == pytest.approx(fd, abs=1e-7)
+
+
+# Reference implementation of the matching chain as it was written before
+# the engine: one correlation per window cell, a dense per-cell backward
+# and a where/argmin decode.  The engine must reproduce it bit for bit.
+
+def _ref_costs(f1, f2, W, u, v):
+    c, h, w = f1.shape
+    ru, rv = (u - 1) // 2, (v - 1) // 2
+    g2 = (W @ f2.reshape(c, -1)).reshape(f2.shape)
+    f2p = np.zeros((c, h + u - 1, w + v - 1))
+    f2p[:, ru : ru + h, rv : rv + w] = g2
+    out = np.empty((u, v, h, w))
+    for k in range(u):
+        for l in range(v):
+            out[k, l] = np.einsum("chw,chw->hw", f1, f2p[:, k : k + h, l : l + w])
+    return out
+
+
+def _ref_loss(costs, gt):
+    u, v, h, w = costs.shape
+    ru, rv = (u - 1) // 2, (v - 1) // 2
+    labels = (np.rint(gt[1]).astype(int) + ru) * v + (np.rint(gt[0]).astype(int) + rv)
+    Z = costs.reshape(u * v, h, w)
+    Zs = Z - Z.max(axis=0)
+    E = np.exp(Zs)
+    denom = E.sum(axis=0)
+    logp = np.take_along_axis(Zs, labels[None], axis=0)[0] - np.log(denom)
+    dC = E / denom
+    hit = np.take_along_axis(dC, labels[None], axis=0) - 1.0
+    np.put_along_axis(dC, labels[None], hit, axis=0)
+    dC /= h * w
+    return float(-logp.mean()), dC.reshape(u, v, h, w)
+
+
+def _ref_grad_w(f1, f2, dC):
+    u, v = dC.shape[:2]
+    c, h, w = f1.shape
+    ru, rv = (u - 1) // 2, (v - 1) // 2
+    f2p = np.zeros((c, h + u - 1, w + v - 1))
+    f2p[:, ru : ru + h, rv : rv + w] = f2
+    B = np.zeros((c, h, w))
+    for k in range(u):
+        for l in range(v):
+            B += dC[k, l] * f2p[:, k : k + h, l : l + w]
+    return f1.reshape(c, -1) @ B.reshape(c, -1).T
+
+
+def _ref_decode(costs):
+    u, v, h, w = costs.shape
+    ru, rv = (u - 1) // 2, (v - 1) // 2
+    flat = costs.reshape(u * v, h, w)
+    mag2 = ((np.arange(u) - ru)[:, None] ** 2 + (np.arange(v) - rv)[None, :] ** 2).reshape(-1)
+    ranked = np.where(flat == flat.max(axis=0), mag2.astype(float)[:, None, None], np.inf)
+    idx = ranked.argmin(axis=0)
+    return np.stack([(idx % v - rv).astype(float), (idx // v - ru).astype(float)])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def matching_cases(draw):
+    """Small pairs with odd, possibly unequal window sides and integer flow
+    anywhere in the window, border included.  Integer features and an
+    integer ``W`` make exact cost ties common."""
+    c = draw(st.integers(1, 4))
+    h = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 7))
+    u = draw(st.sampled_from([1, 3, 5]))
+    v = draw(st.sampled_from([1, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        f1 = rng.integers(-2, 3, (c, h, w)).astype(float)
+        f2 = rng.integers(-2, 3, (c, h, w)).astype(float)
+        W = np.eye(c) + np.diag(rng.integers(0, 2, c).astype(float))
+    else:
+        f1 = rng.standard_normal((c, h, w))
+        f2 = rng.standard_normal((c, h, w))
+        A = rng.standard_normal((c, c))
+        W = A @ A.T + 0.1 * np.eye(c)
+    ru, rv = (u - 1) // 2, (v - 1) // 2
+    gt = np.stack([rng.integers(-rv, rv + 1, (h, w)), rng.integers(-ru, ru + 1, (h, w))])
+    return f1, f2, gt.astype(float), W, u, v
+
+
+class TestMatchingEngine:
+    @settings(max_examples=300, deadline=None)
+    @given(matching_cases())
+    def test_reproduces_the_reference_bitwise(self, case):
+        f1, f2, gt, W, u, v = case
+        costs = _ref_costs(f1, f2, W, u, v)
+        loss, dC = _ref_loss(costs, gt)
+        dW = _ref_grad_w(f1, f2, dC)
+        flow = _ref_decode(costs)
+        aepe = epe(FlowField(flow), FlowField(gt))
+
+        problem = _MatchingProblem(FeatureMap(f1), FeatureMap(f2), FlowField(gt), (u, v))
+        got_loss, got_dW, got_aepe = problem.loss_grad(W)
+        assert _bits(got_loss) == _bits(loss)
+        assert _bits(got_dW) == _bits(dW)
+        assert _bits(got_aepe) == _bits(aepe)
+        # A second evaluation reuses the prepared frame.
+        assert _bits(problem.loss_grad(W)[1]) == _bits(dW)
+        assert _bits(problem.decode(W).data) == _bits(flow)
+
+        cv = cost_volume_bilinear(FeatureMap(f1), FeatureMap(f2), W, u, v)
+        assert _bits(cv.data) == _bits(costs)
+        assert _bits(decode_flow_argmax(cv).data) == _bits(flow)
+        public_loss, public_dC = matching_loss(cv, FlowField(gt))
+        assert _bits(public_loss) == _bits(loss)
+        assert _bits(public_dC) == _bits(dC)
+
+    def test_non_finite_costs_are_numerical_errors(self):
+        f = FeatureMap(np.full((1, 3, 3), 1e200))
+        problem = _MatchingProblem(f, f, FlowField(np.zeros((2, 3, 3))), (3, 3))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+            problem.loss_grad(np.eye(1) * 1e200)
+
+    def test_kernel_of_the_wrong_size_rejected(self):
+        f = FeatureMap(np.zeros((2, 3, 3)))
+        problem = _MatchingProblem(f, f, FlowField(np.zeros((2, 3, 3))), (3, 3))
+        with pytest.raises(ValueError, match="W shape"):
+            problem.decode(np.eye(3))
+
+    def test_asymmetric_geometry_passes_the_finite_difference_gate(self):
+        # A 4x6 frame under a 5x3 window: swapped h/w or u/v arithmetic in
+        # the backward cannot cancel out, as it can on square frames.
+        rng = np.random.default_rng(43)
+        c, h, w, u, v = 3, 4, 6, 5, 3
+        f1 = FeatureMap(0.5 * rng.standard_normal((c, h, w)))
+        f2 = FeatureMap(0.5 * rng.standard_normal((c, h, w)))
+        gt = FlowField(np.stack([rng.integers(-1, 2, (h, w)), rng.integers(-2, 3, (h, w))]).astype(float))
+        s = SkewParams(entries=rng.uniform(-0.5, 0.5, c * (c - 1) // 2), dim=c)
+        t = DiagParams(t=rng.uniform(-0.5, 0.5, c))
+
+        def loss(sp, tp):
+            cv = cost_volume_bilinear(f1, f2, assemble_kernel(sp, tp).W, u, v)
+            return matching_loss(cv, gt)[0]
+
+        kernel = assemble_kernel(s, t)
+        _, dW, _ = matching_loss_grad_w(f1, f2, kernel, gt, u, v)
+        analytic = kernel_grad(kernel, dW)
+        numeric = finite_difference_oracle(loss, s, t, eps=1e-5)
+        a = np.concatenate([analytic.d_skew, analytic.d_diag])
+        n = np.concatenate([numeric.d_skew, numeric.d_diag])
+        assert np.linalg.norm(a - n) < 1e-5 * np.linalg.norm(n)
 
 
 class TestTraining:

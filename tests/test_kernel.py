@@ -9,6 +9,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcv.cayley import DiagParams, SkewParams, lambda_from_t, unpack_skew
 from lcv.kernel import (
@@ -242,3 +244,38 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError):
             load_kernel(path)
+
+
+@st.composite
+def lcvk_bytes(draw):
+    """An LCVK file that may be cut short, declare a channel count near
+    2**31 or 2**32, or carry a payload of the wrong length or of
+    arbitrary float64 bit patterns.  Returns the bytes and whether the
+    payload length matches the declared count."""
+    dim = draw(st.one_of(st.integers(0, 5), st.integers(2**31 - 2, 2**31 + 2),
+                         st.integers(2**32 - 8, 2**32 - 1)))
+    header = struct.pack("<4sBI", draw(st.sampled_from([b"LCVK", b"LCVK", b"LCVT"])),
+                         draw(st.sampled_from([1, 1, 2])), dim)
+    declared = 8 * (dim * (dim - 1) // 2 + dim)
+    cut = draw(st.one_of(st.none(), st.integers(0, len(header) - 1)))
+    if cut is not None:
+        return header[:cut], False
+    length = draw(st.one_of(st.integers(0, 160), st.just(declared if declared <= 160 else 0)))
+    return header + draw(st.binary(min_size=length, max_size=length)), length == declared
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(lcvk_bytes())
+    def test_malformed_files_raise_only_value_error(self, tmp_path_factory, case):
+        data, sized = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.lcvk"
+        path.write_bytes(data)
+        try:
+            with np.errstate(all="ignore"):
+                kernel = load_kernel(path)
+        except ValueError:
+            return
+        assert sized and data[:5] == b"LCVK\x01"
+        assert np.all(np.isfinite(kernel.W))
+
