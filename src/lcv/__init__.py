@@ -59,7 +59,6 @@ from .kernel import (
 )
 from .optim import (
     OptimizerConfig,
-    TrainState,
     cayley_sgd_step,
     finite_difference_oracle,
     matrix_inv_sqrt,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,22 +40,9 @@ from .kernel import identity_kernel, load_kernel, save_kernel
 from .optim import OptimizerConfig
 
 DEFAULT_CONFIG = {
-    "synthetic": {
-        "height": 32,
-        "width": 32,
-        "signal_channels": 4,
-        "noise_channels": 12,
-        "max_displacement": 2,
-        "seed": 0,
-        "mixing": None,
-    },
-    "perturb": {"gamma": 1.0, "noise_std": 0.0, "patch_radius": 0},
-    "optimizer": {
-        "learning_rate": 0.01,
-        "max_steps": 500,
-        "grad_tolerance": 1e-6,
-        "mode": "cayley",
-    },
+    "synthetic": asdict(SyntheticSpec()),
+    "perturb": asdict(PerturbSpec()),
+    "optimizer": asdict(OptimizerConfig()),
     "window": [5, 5],
     "instances": 10,
     "sweep": {
@@ -150,13 +138,13 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_kernel(f"{out}.step0.lcvk", identity_kernel(spec.channels))
-    learned, state, records = train_kernel(data[:n_train], opt, window)
+    learned, records = train_kernel(data[:n_train], opt, window)
     save_kernel(f"{out}.lcvk", learned)
     with open(f"{out}.log", "w") as fh:
         for record in records:
             fh.write(format_step_record(record) + "\n")
     print(
-        f"train: {state.step} steps, final loss {records[-1].loss:.6f}, "
+        f"train: {records[-1].step} steps, final loss {records[-1].loss:.6f}, "
         f"checkpoint {out}.lcvk"
     )
     return 0

@@ -268,4 +268,7 @@ def read_tensor(path) -> np.ndarray:
         if nbytes < left:
             raise ValueError(f"read_tensor: trailing bytes in {path!r}")
         payload = fh.read(nbytes)
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    try:
+        return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    except ValueError as err:  # more axes, or a larger empty shape, than numpy holds
+        raise ValueError(f"read_tensor: {path!r} declares a shape numpy cannot hold: {err}") from err

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cayley import NumericalError, dlambda_dt
+from .cayley import NumericalError
 from .costvolume import (
     FeatureMap,
     FlowField,
@@ -36,16 +36,8 @@ from .costvolume import (
     epe,
     fl_all,
 )
-from .kernel import SPDKernel, identity_kernel, kernel_factor_grads, kernel_grad
-from .optim import (
-    OptimizerConfig,
-    TrainState,
-    cayley_sgd_step,
-    finite_difference_oracle,
-    initial_state,
-    stiefel_project,
-    stiefel_sgd_step,
-)
+from .kernel import SPDKernel, identity_kernel, kernel_grad
+from .optim import OptimizerConfig, finite_difference_oracle, gradient_step
 
 
 @dataclass(frozen=True)
@@ -385,7 +377,7 @@ def train_kernel(
     instances: list[tuple[FeatureMap, FeatureMap, FlowField]],
     opt: OptimizerConfig,
     window: tuple[int, int],
-) -> tuple[SPDKernel, TrainState, list[StepRecord]]:
+) -> tuple[SPDKernel, list[StepRecord]]:
     """Full-batch gradient descent from the identity kernel.
 
     Every visited kernel is scored by decoding the training instances;
@@ -393,65 +385,54 @@ def train_kernel(
     training AEPE, so training can never hand back something worse than
     the identity start on data the identity already solves.  Stops when
     the gradient max-norm drops below ``opt.grad_tolerance`` or after
-    ``opt.max_steps`` updates.
+    ``opt.max_steps`` updates.  One record per visited kernel, so
+    ``records[-1].step`` is the number of updates.
     """
     if not instances:
         raise ValueError("train_kernel: need at least one instance")
     problems = [_MatchingProblem(f1, f2, gt, window) for f1, f2, gt in instances]
     c = instances[0][0].channels
-    state = initial_state(c)
+    kernel = identity_kernel(c)
     records: list[StepRecord] = []
     best_aepe = float("inf")
-    best_kernel = state.kernel
+    best_kernel = kernel
 
-    while True:
+    for step in range(opt.max_steps + 1):
         t0 = time.perf_counter()
         total_loss = 0.0
         train_aepe = 0.0
         dW = np.zeros((c, c))
         for problem in problems:
-            loss_i, dW_i, aepe_i = problem.loss_grad(state.kernel.W)
+            loss_i, dW_i, aepe_i = problem.loss_grad(kernel.W)
             total_loss += loss_i
             dW += dW_i
             train_aepe += aepe_i
         n = len(instances)
-        loss = total_loss / n
         dW /= n
         train_aepe /= n
 
         if train_aepe < best_aepe:
             best_aepe = train_aepe
-            best_kernel = state.kernel
+            best_kernel = kernel
 
-        if opt.mode == "cayley":
-            grad = kernel_grad(state.kernel, dW)
-            grad_norm = grad.max_norm()
-        else:
-            dL_dP, dL_dlam = kernel_factor_grads(state.kernel, dW)
-            d_diag = dL_dlam * dlambda_dt(state.kernel.diag_params)
-            tangent = stiefel_project(state.kernel.P, dL_dP)
-            grad_norm = float(max(np.max(np.abs(tangent)), np.max(np.abs(d_diag))))
-
+        grad_norm, update = gradient_step(kernel, dW, opt.mode)
         records.append(StepRecord(
-            step=state.step,
-            loss=loss,
+            step=step,
+            loss=total_loss / n,
             grad_norm=grad_norm,
             wall_ms=(time.perf_counter() - t0) * 1000.0,
         ))
 
-        if grad_norm < opt.grad_tolerance or state.step >= opt.max_steps:
+        if grad_norm < opt.grad_tolerance or step == opt.max_steps:
             break
         try:
-            if opt.mode == "cayley":
-                state = cayley_sgd_step(state, grad, opt.learning_rate, loss=loss)
-            else:
-                state = stiefel_sgd_step(state, dL_dP, opt.learning_rate, d_diag=d_diag, loss=loss)
+            kernel = update(opt.learning_rate)
         except ValueError as err:
             # The inputs were valid, so a rejected kernel means the step overflowed.
             raise NumericalError(
-                f"train_kernel: step {state.step + 1} left the SPD chart: {err}") from err
+                f"train_kernel: step {step + 1} left the SPD chart: {err}") from err
 
-    return best_kernel, state, records
+    return best_kernel, records
 
 
 def _split(instances: int) -> tuple[int, int]:
@@ -520,7 +501,7 @@ def _train_and_score(
     check_window(window, spec.max_displacement)
     data, seeds = experiment_instances(spec, instances)
     n_train, n_eval = _split(instances)
-    learned, state, _ = train_kernel(data[:n_train], opt, window)
+    learned, records = train_kernel(data[:n_train], opt, window)
     ident = identity_kernel(spec.channels)
 
     results = []
@@ -533,7 +514,7 @@ def _train_and_score(
                 sums[name] += value
         results.append(ExperimentResult(
             **{name: total / n_eval for name, total in sums.items()},
-            steps=state.step, seed=spec.seed, perturb=p,
+            steps=records[-1].step, seed=spec.seed, perturb=p,
         ))
     return results
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .cayley import (
     DiagParams,
+    NumericalError,
     OrthogonalMatrix,
     SkewParams,
     _require_finite,
@@ -245,6 +246,8 @@ def load_kernel(path) -> SPDKernel:
             raise ValueError(f"load_kernel: trailing bytes in {path!r}")
         payload = fh.read(nbytes)
     values = np.frombuffer(payload, dtype="<f8")
-    s = SkewParams(entries=values[:n_skew].copy(), dim=dim)
-    t = DiagParams(t=values[n_skew:].copy())
-    return assemble_kernel(s, t)
+    try:
+        return assemble_kernel(SkewParams(entries=values[:n_skew].copy(), dim=dim),
+                               DiagParams(t=values[n_skew:].copy()))
+    except (ValueError, NumericalError) as err:
+        raise ValueError(f"load_kernel: {path!r} holds no valid kernel: {err}") from err

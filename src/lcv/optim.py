@@ -8,8 +8,9 @@ Two interchangeable update rules maintain the SPD structure:
   manifold (project the Euclidean gradient to the tangent space, retract)
   while the diagonal factor still moves through the arctan chart.
 
-Both leave every iterate exactly factored, so no projection back onto the
-SPD cone is ever needed.
+Both map one ``SPDKernel`` to the next and leave every iterate exactly
+factored, so no projection back onto the SPD cone is ever needed.
+``gradient_step`` picks between them by the optimizer mode.
 """
 
 from __future__ import annotations
@@ -61,31 +62,7 @@ class OptimizerConfig:
             raise ValueError(f"OptimizerConfig: mode must be one of {_MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class TrainState:
-    """Snapshot of an optimization run after ``step`` updates."""
-
-    kernel: SPDKernel
-    step: int
-    last_loss: float
-    grad_norm: float
-
-    def __post_init__(self):
-        if self.step < 0:
-            raise ValueError("TrainState: step must be nonnegative")
-
-
-def initial_state(dim: int) -> TrainState:
-    """Fresh state at the identity kernel, before any update."""
-    return TrainState(
-        kernel=identity_kernel(dim),
-        step=0,
-        last_loss=float("nan"),
-        grad_norm=float("inf"),
-    )
-
-
-def cayley_sgd_step(state: TrainState, grad: KernelGradient, lr: float, loss: float | None = None) -> TrainState:
+def cayley_sgd_step(kernel: SPDKernel, grad: KernelGradient, lr: float) -> SPDKernel:
     """One SGD step in the free parameterization.
 
     Moves ``s`` and ``t`` against the gradient and reassembles; a zero
@@ -93,17 +70,12 @@ def cayley_sgd_step(state: TrainState, grad: KernelGradient, lr: float, loss: fl
     """
     if not (lr > 0 and np.isfinite(lr)):
         raise ValueError("cayley_sgd_step: lr must be positive and finite")
-    k = state.kernel
-    if grad.d_skew.shape != k.skew_params.entries.shape or grad.d_diag.shape != k.diag_params.t.shape:
+    if (grad.d_skew.shape != kernel.skew_params.entries.shape
+            or grad.d_diag.shape != kernel.diag_params.t.shape):
         raise ValueError("cayley_sgd_step: gradient shape disagrees with the parameters")
-    s = SkewParams(entries=k.skew_params.entries - lr * grad.d_skew, dim=k.dim)
-    t = DiagParams(t=k.diag_params.t - lr * grad.d_diag)
-    return TrainState(
-        kernel=assemble_kernel(s, t),
-        step=state.step + 1,
-        last_loss=state.last_loss if loss is None else float(loss),
-        grad_norm=grad.max_norm(),
-    )
+    s = SkewParams(entries=kernel.skew_params.entries - lr * grad.d_skew, dim=kernel.dim)
+    t = DiagParams(t=kernel.diag_params.t - lr * grad.d_diag)
+    return assemble_kernel(s, t)
 
 
 def stiefel_project(X: OrthogonalMatrix, Z: np.ndarray) -> np.ndarray:
@@ -156,55 +128,59 @@ def matrix_inv_sqrt(M: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
     return 0.5 * (R + R.T)
 
 
-def stiefel_sgd_step(
-    state: TrainState,
-    dL_dP: np.ndarray,
-    lr: float,
-    d_diag: np.ndarray | None = None,
-    loss: float | None = None,
-) -> TrainState:
+def stiefel_sgd_step(kernel: SPDKernel, dL_dP: np.ndarray, lr: float, d_diag: np.ndarray) -> SPDKernel:
     """One Riemannian SGD step on the orthogonal factor.
 
     The Euclidean gradient ``dL_dP`` is projected to the tangent space at
     the current ``P`` and retracted; the diagonal parameters move through
-    the arctan chart when ``d_diag`` is given.  The skew parameters are
-    re-synced to the Cayley preimage of the new ``P`` so checkpoints stay
-    mode-agnostic.
+    the arctan chart.  The skew parameters are re-synced to the Cayley
+    preimage of the new ``P`` so checkpoints stay mode-agnostic.
     """
+    return _stiefel_move(kernel, stiefel_project(kernel.P, np.asarray(dL_dP, dtype=float)), lr, d_diag)
+
+
+def _stiefel_move(kernel: SPDKernel, Z: np.ndarray, lr: float, d_diag: np.ndarray) -> SPDKernel:
+    """``stiefel_sgd_step`` from the tangent ``Z``, already projected."""
     if not (lr > 0 and np.isfinite(lr)):
         raise ValueError("stiefel_sgd_step: lr must be positive and finite")
-    k = state.kernel
-    Z = stiefel_project(k.P, np.asarray(dL_dP, dtype=float))
-    newP = stiefel_retract(k.P, -lr * Z)
-    if d_diag is None:
-        t = k.diag_params
-    else:
-        d_diag = np.asarray(d_diag, dtype=float)
-        if d_diag.shape != k.diag_params.t.shape:
-            raise ValueError("stiefel_sgd_step: d_diag shape disagrees with the parameters")
-        if not np.all(np.isfinite(d_diag)):
-            raise ValueError("stiefel_sgd_step: d_diag must be finite")
-        t = DiagParams(t=k.diag_params.t - lr * d_diag)
+    d_diag = np.asarray(d_diag, dtype=float)
+    if d_diag.shape != kernel.diag_params.t.shape:
+        raise ValueError("stiefel_sgd_step: d_diag shape disagrees with the parameters")
+    if not np.all(np.isfinite(d_diag)):
+        raise ValueError("stiefel_sgd_step: d_diag must be finite")
+    newP = stiefel_retract(kernel.P, -lr * Z)
+    t = DiagParams(t=kernel.diag_params.t - lr * d_diag)
     lam = lambda_from_t(t)
     W = newP.values.T @ (lam[:, None] * newP.values)
     W = 0.5 * (W + W.T)
-    kernel = SPDKernel(
+    return SPDKernel(
         W=W,
         P=newP,
         lam=lam,
         skew_params=pack_skew(cayley_inverse(newP)),
         diag_params=t,
     )
-    grad_norm = float(max(
-        np.max(np.abs(Z)) if Z.size else 0.0,
-        np.max(np.abs(d_diag)) if d_diag is not None and d_diag.size else 0.0,
-    ))
-    return TrainState(
-        kernel=kernel,
-        step=state.step + 1,
-        last_loss=state.last_loss if loss is None else float(loss),
-        grad_norm=grad_norm,
-    )
+
+
+def gradient_step(
+    kernel: SPDKernel, dW: np.ndarray, mode: str
+) -> tuple[float, Callable[[float], SPDKernel]]:
+    """Gradient max-norm at ``kernel`` and the ``mode`` update for ``dW = dL/dW``.
+
+    The update is returned as ``step(lr)``, so a caller can test the norm
+    for convergence before paying for the step.  This is the one place
+    that chooses between the optimizer modes.
+    """
+    if mode == "cayley":
+        grad = kernel_grad(kernel, dW)
+        return grad.max_norm(), lambda lr: cayley_sgd_step(kernel, grad, lr)
+    if mode != "stiefel":
+        raise ValueError(f"gradient_step: mode must be one of {_MODES}, got {mode!r}")
+    dL_dP, dL_dlam = kernel_factor_grads(kernel, dW)
+    d_diag = dL_dlam * dlambda_dt(kernel.diag_params)
+    Z = stiefel_project(kernel.P, dL_dP)
+    grad_norm = float(max(np.max(np.abs(Z)), np.max(np.abs(d_diag))))
+    return grad_norm, lambda lr: _stiefel_move(kernel, Z, lr, d_diag)
 
 
 def finite_difference_oracle(
@@ -251,18 +227,11 @@ def step_benchmark(dim: int, mode: str, iters: int = 20, seed: int = 0) -> float
     Runs ``iters`` steps against a fixed random symmetric gradient on
     ``W`` and averages; used for reporting only.
     """
-    if mode not in _MODES:
-        raise ValueError(f"step_benchmark: mode must be one of {_MODES}")
     rng = np.random.default_rng(seed)
-    state = initial_state(dim)
+    kernel = identity_kernel(dim)
     A = rng.standard_normal((dim, dim)) * 0.01
     G = A + A.T
     t0 = time.perf_counter()
     for _ in range(iters):
-        if mode == "cayley":
-            state = cayley_sgd_step(state, kernel_grad(state.kernel, G), lr=1e-3)
-        else:
-            dL_dP, dL_dlam = kernel_factor_grads(state.kernel, G)
-            dd = dL_dlam * dlambda_dt(state.kernel.diag_params)
-            state = stiefel_sgd_step(state, dL_dP, lr=1e-3, d_diag=dd)
+        kernel = gradient_step(kernel, G, mode)[1](1e-3)
     return (time.perf_counter() - t0) * 1000.0 / iters

@@ -103,6 +103,11 @@ class TestConfig:
         assert cfg == DEFAULT_CONFIG
         assert cfg is not DEFAULT_CONFIG  # caller gets a private copy
 
+    def test_readme_documents_the_defaults(self):
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("Default config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == load_config(None)
+
     def test_partial_file_fills_gaps(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"window": [3, 3]}))
@@ -246,6 +251,12 @@ class TestEval:
     @pytest.mark.parametrize("name, header", [
         pytest.param("f1.lcvt", struct.pack("<4sBB3I", b"LCVT", 1, 3, 65536, 65536, 16), id="tensor"),
         pytest.param("id.lcvk", struct.pack("<4sBI", b"LCVK", 1, 2**32 - 1), id="checkpoint"),
+        # Correctly sized checkpoints whose values assemble no kernel.
+        pytest.param("id.lcvk", struct.pack("<4sBI6d", b"LCVK", 1, 3, 2.0**81, 2.0**81, 2.0**97, 0, 0, 0),
+                     id="checkpoint-solve-fails"),
+        pytest.param("id.lcvk", struct.pack("<4sBI3d", b"LCVK", 1, 2, 0, 1e300, 0), id="checkpoint-t-huge"),
+        pytest.param("id.lcvk", struct.pack("<4sBI3d", b"LCVK", 1, 2, 0, -1e300, 0), id="checkpoint-t-tiny"),
+        pytest.param("id.lcvk", struct.pack("<4sBI3d", b"LCVK", 1, 2, math.nan, 0, 0), id="checkpoint-nan"),
     ])
     def test_oversized_header_exits_1(self, tmp_path, tiny_config, capsys, name, header):
         data = tmp_path / "data"
@@ -254,8 +265,9 @@ class TestEval:
         save_kernel(checkpoint, identity_kernel(4))
         target = checkpoint if name == "id.lcvk" else data / name
         target.write_bytes(header)
-        rc = main(["eval", "--checkpoint", str(checkpoint),
-                   "--data", str(data), "--out", str(tmp_path / "m.json")])
+        with np.errstate(all="ignore"):
+            rc = main(["eval", "--checkpoint", str(checkpoint),
+                       "--data", str(data), "--out", str(tmp_path / "m.json")])
         assert rc == 1
         assert name in capsys.readouterr().err
 

@@ -337,6 +337,8 @@ class TestTensorFiles:
         (65536, 65536, 16),  # 512 GiB of payload
         (2**31, 2**31, 4),  # element count wraps int64 to 0
         (2**20, 2**20),
+        (0,) * 65,  # empty, but more axes than numpy holds
+        (0, 2**32 - 1, 2**32 - 1, 2**32 - 1),  # empty, but too big for numpy
     ])
     def test_header_larger_than_file_rejected(self, tmp_path, shape):
         path = tmp_path / "big.lcvt"

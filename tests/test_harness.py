@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcv.cayley import DiagParams, NumericalError, SkewParams
+from lcv.cayley import DiagParams, NumericalError, SkewParams, dlambda_dt
 from lcv.costvolume import (
     FeatureMap,
     FlowField,
@@ -42,8 +42,14 @@ from lcv.harness import (
     run_sweep,
     train_kernel,
 )
-from lcv.kernel import assemble_kernel, identity_kernel, kernel_grad
-from lcv.optim import OptimizerConfig, finite_difference_oracle
+from lcv.kernel import assemble_kernel, identity_kernel, kernel_factor_grads, kernel_grad
+from lcv.optim import (
+    OptimizerConfig,
+    cayley_sgd_step,
+    finite_difference_oracle,
+    stiefel_project,
+    stiefel_sgd_step,
+)
 
 TINY = SyntheticSpec(height=12, width=12, signal_channels=2, noise_channels=2,
                      max_displacement=1, seed=3)
@@ -397,22 +403,69 @@ class TestMatchingEngine:
 class TestTraining:
     def test_records_cover_every_visited_step(self):
         data = [generate(TINY)]
-        kernel, state, records = train_kernel(data, FAST_OPT, (3, 3))
-        assert len(records) == state.step + 1
-        assert [r.step for r in records] == list(range(state.step + 1))
+        kernel, records = train_kernel(data, FAST_OPT, (3, 3))
+        steps = records[-1].step
+        assert len(records) == steps + 1
+        assert [r.step for r in records] == list(range(steps + 1))
         assert all(np.isfinite(r.loss) for r in records)
 
     def test_perfect_data_keeps_identity(self):
         spec = SyntheticSpec(height=10, width=10, signal_channels=2,
                              noise_channels=0, max_displacement=1, seed=5)
         data = [generate(spec)]
-        kernel, _, _ = train_kernel(data, FAST_OPT, (3, 3))
+        kernel, _ = train_kernel(data, FAST_OPT, (3, 3))
         flow = decode_flow_argmax(cost_volume_bilinear(*[d for d in data[0][:2]], kernel.W, 3, 3))
         assert epe(flow, data[0][2]) == 0.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             train_kernel([], FAST_OPT, (3, 3))
+
+    @pytest.mark.parametrize("mode", ["cayley", "stiefel"])
+    def test_matches_reference_loop(self, mode):
+        opt = OptimizerConfig(learning_rate=0.05, max_steps=12, grad_tolerance=1e-9, mode=mode)
+        data, _ = experiment_instances(TINY, 2)
+        kernel, records = train_kernel(data, opt, (3, 3))
+        ref_kernel, ref_records = reference_train(data, opt, (3, 3))
+        assert np.array_equal(kernel.W, ref_kernel.W)
+        assert [(r.step, r.loss, r.grad_norm) for r in records] == ref_records
+
+
+def reference_train(instances, opt, window):
+    """``train_kernel`` as one branch per mode over the public step functions.
+
+    The Stiefel branch projects its tangent for the norm and lets
+    ``stiefel_sgd_step`` project it again.
+    """
+    c = instances[0][0].channels
+    kernel = best = identity_kernel(c)
+    best_aepe, records = float("inf"), []
+    for step in range(opt.max_steps + 1):
+        total_loss, train_aepe, dW = 0.0, 0.0, np.zeros((c, c))
+        for f1, f2, gt in instances:
+            loss_i, dW_i, aepe_i = matching_loss_grad_w(f1, f2, kernel, gt, *window)
+            total_loss += loss_i
+            dW += dW_i
+            train_aepe += aepe_i
+        dW /= len(instances)
+        if train_aepe / len(instances) < best_aepe:
+            best_aepe, best = train_aepe / len(instances), kernel
+        if opt.mode == "cayley":
+            grad = kernel_grad(kernel, dW)
+            grad_norm = grad.max_norm()
+        else:
+            dL_dP, dL_dlam = kernel_factor_grads(kernel, dW)
+            d_diag = dL_dlam * dlambda_dt(kernel.diag_params)
+            tangent = stiefel_project(kernel.P, dL_dP)
+            grad_norm = float(max(np.max(np.abs(tangent)), np.max(np.abs(d_diag))))
+        records.append((step, total_loss / len(instances), grad_norm))
+        if grad_norm < opt.grad_tolerance or step == opt.max_steps:
+            break
+        if opt.mode == "cayley":
+            kernel = cayley_sgd_step(kernel, grad, opt.learning_rate)
+        else:
+            kernel = stiefel_sgd_step(kernel, dL_dP, opt.learning_rate, d_diag)
+    return best, records
 
 
 class TestExperiment:

@@ -15,7 +15,6 @@ from lcv.optim import (
     OptimizerConfig,
     cayley_sgd_step,
     finite_difference_oracle,
-    initial_state,
     matrix_inv_sqrt,
     step_benchmark,
     stiefel_project,
@@ -35,64 +34,60 @@ def quad_grad(W):
 
 
 def run_cayley(steps, lr):
-    state = initial_state(2)
+    kernel = identity_kernel(2)
     losses = []
     for _ in range(steps):
-        losses.append(quad_loss(state.kernel.W))
-        g = kernel_grad(state.kernel, quad_grad(state.kernel.W))
-        state = cayley_sgd_step(state, g, lr, loss=losses[-1])
-    return state, losses
+        losses.append(quad_loss(kernel.W))
+        kernel = cayley_sgd_step(kernel, kernel_grad(kernel, quad_grad(kernel.W)), lr)
+    return kernel, losses
 
 
 def run_stiefel(steps, lr):
     from lcv.kernel import kernel_factor_grads
     from lcv.cayley import dlambda_dt
 
-    state = initial_state(2)
+    kernel = identity_kernel(2)
     losses = []
     for _ in range(steps):
-        losses.append(quad_loss(state.kernel.W))
-        dL_dP, dL_dlam = kernel_factor_grads(state.kernel, quad_grad(state.kernel.W))
-        d_diag = dL_dlam * dlambda_dt(state.kernel.diag_params)
-        state = stiefel_sgd_step(state, dL_dP, lr, d_diag=d_diag, loss=losses[-1])
-    return state, losses
+        losses.append(quad_loss(kernel.W))
+        dL_dP, dL_dlam = kernel_factor_grads(kernel, quad_grad(kernel.W))
+        d_diag = dL_dlam * dlambda_dt(kernel.diag_params)
+        kernel = stiefel_sgd_step(kernel, dL_dP, lr, d_diag=d_diag)
+    return kernel, losses
 
 
 class TestCayleyStep:
     def test_zero_gradient_is_bitwise_noop(self):
-        state = initial_state(3)
+        kernel = identity_kernel(3)
         g = KernelGradient(d_skew=np.zeros(3), d_diag=np.zeros(3))
-        after = cayley_sgd_step(state, g, 0.1)
-        assert after.step == 1
-        np.testing.assert_array_equal(after.kernel.W, state.kernel.W)
-        np.testing.assert_array_equal(after.kernel.skew_params.entries, state.kernel.skew_params.entries)
+        after = cayley_sgd_step(kernel, g, 0.1)
+        np.testing.assert_array_equal(after.W, kernel.W)
+        np.testing.assert_array_equal(after.skew_params.entries, kernel.skew_params.entries)
 
     def test_quadratic_loss_decreases_monotonically(self):
         _, losses = run_cayley(11, lr=0.05)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_converges_to_target_spectrum(self):
-        state, _ = run_cayley(400, lr=0.05)
-        np.testing.assert_allclose(np.sort(state.kernel.lam), [1.0, 3.0], atol=1e-3)
-        assert quad_loss(state.kernel.W) < 1e-5
+        kernel, _ = run_cayley(400, lr=0.05)
+        np.testing.assert_allclose(np.sort(kernel.lam), [1.0, 3.0], atol=1e-3)
+        assert quad_loss(kernel.W) < 1e-5
 
     def test_small_lr_descends(self):
-        state = initial_state(2)
-        g = kernel_grad(state.kernel, quad_grad(state.kernel.W))
-        after = cayley_sgd_step(state, g, 1e-3)
-        assert quad_loss(after.kernel.W) < quad_loss(state.kernel.W)
+        kernel = identity_kernel(2)
+        g = kernel_grad(kernel, quad_grad(kernel.W))
+        after = cayley_sgd_step(kernel, g, 1e-3)
+        assert quad_loss(after.W) < quad_loss(kernel.W)
 
     def test_shape_mismatch_rejected(self):
-        state = initial_state(3)
         with pytest.raises(ValueError):
-            cayley_sgd_step(state, KernelGradient(d_skew=np.zeros(1), d_diag=np.zeros(3)), 0.1)
+            cayley_sgd_step(identity_kernel(3), KernelGradient(d_skew=np.zeros(1), d_diag=np.zeros(3)), 0.1)
 
     def test_bad_lr_rejected(self):
-        state = initial_state(2)
         g = KernelGradient(d_skew=np.zeros(1), d_diag=np.zeros(2))
         for lr in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
-                cayley_sgd_step(state, g, lr)
+                cayley_sgd_step(identity_kernel(2), g, lr)
 
 
 class TestStiefelGeometry:
@@ -152,11 +147,10 @@ class TestMatrixInvSqrt:
 
 class TestStiefelStep:
     def test_zero_gradients_are_bitwise_noop(self):
-        state = initial_state(3)
-        after = stiefel_sgd_step(state, np.zeros((3, 3)), 0.1, d_diag=np.zeros(3))
-        assert after.step == 1
-        np.testing.assert_array_equal(after.kernel.W, state.kernel.W)
-        np.testing.assert_array_equal(after.kernel.P.values, state.kernel.P.values)
+        kernel = identity_kernel(3)
+        after = stiefel_sgd_step(kernel, np.zeros((3, 3)), 0.1, d_diag=np.zeros(3))
+        np.testing.assert_array_equal(after.W, kernel.W)
+        np.testing.assert_array_equal(after.P.values, kernel.P.values)
 
     def test_iterates_remain_factored(self):
         _, _ = run_stiefel(5, lr=0.05)  # SPDKernel validates on every build
@@ -168,14 +162,14 @@ class TestStiefelStep:
     def test_matches_cayley_optimizer_limit(self):
         cay, _ = run_cayley(400, lr=0.05)
         sti, _ = run_stiefel(400, lr=0.05)
-        gap = np.linalg.norm(cay.kernel.W - sti.kernel.W)
+        gap = np.linalg.norm(cay.W - sti.W)
         assert gap < 1e-2
 
     def test_skew_parameters_track_the_factor(self):
         # After a step, the stored free parameters regenerate the kernel.
         sti, _ = run_stiefel(3, lr=0.05)
-        rebuilt = assemble_kernel(sti.kernel.skew_params, sti.kernel.diag_params)
-        np.testing.assert_allclose(rebuilt.W, sti.kernel.W, atol=1e-10)
+        rebuilt = assemble_kernel(sti.skew_params, sti.diag_params)
+        np.testing.assert_allclose(rebuilt.W, sti.W, atol=1e-10)
 
 
 class TestFiniteDifferenceOracle:
