@@ -33,12 +33,19 @@ _TENSOR_VERSION = 1
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Dense feature tensor of shape ``(channels, height, width)``."""
+    """Dense feature tensor of shape ``(channels, height, width)``.
+
+    The data is copied, except a read-only float64 array that owns its
+    memory: that one is kept as it is, since a copy would only cost time.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=float)
+        d = self.data
+        if not (type(d) is np.ndarray and d.dtype == np.float64
+                and d.base is None and not d.flags.writeable):
+            d = np.array(d, dtype=float)
         if d.ndim != 3:
             raise ValueError(f"FeatureMap: expected 3-D data, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
@@ -107,22 +114,116 @@ def _check_pair(f1: FeatureMap, f2: FeatureMap, u: int, v: int) -> None:
         raise ValueError(f"cost volume: window extents must be odd and positive, got {(u, v)}")
 
 
+# Pixels per row tile of the correlation GEMMs.  Of 4, 8, 16 and 32, 8 was
+# fastest at c=64, 64x64, 9x9 and tied at c=16, 32x32, 5x5.
+_TILE = 8
+
+
+def _channel_last(f1: np.ndarray, f2: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """``f1`` as ``(h, wt, c)`` and ``f2`` zero-padded as ``(h + u - 1, wt + v - 1, c)``.
+
+    ``wt`` is ``w`` rounded up to whole tiles of ``_TILE`` pixels, at least
+    one tile; the columns of ``f1`` past ``w`` are zero.  Padded pixel ``(i + k, j + l)``
+    of the second frame is the target of pixel ``(i, j)`` under window
+    cell ``(k, l)``.
+    """
+    c, h, w = f1.shape
+    wt = max(1, -(-w // _TILE)) * _TILE
+    ru, rv = (u - 1) // 2, (v - 1) // 2
+    a = np.zeros((h, wt, c))
+    a[:, :w] = f1.transpose(1, 2, 0)
+    b = np.zeros((h + u - 1, wt + v - 1, c))
+    b[ru : ru + h, rv : rv + w] = f2.transpose(1, 2, 0)
+    return a, b
+
+
+def _windows(f2p: np.ndarray, u: int, v: int) -> np.ndarray:
+    """Read-only view ``(u, h, nt, _TILE + v - 1, c)`` of a padded second frame:
+    entry ``[k, i, t, j]`` is padded pixel ``(i + k, t * _TILE + j)``, so
+    ``[k, i, t]`` holds every target of row tile ``(i, t)`` at row offset ``k``."""
+    rows, cols, c = f2p.shape
+    sr, sc, sb = f2p.strides
+    shape = (u, rows - u + 1, (cols - v + 1) // _TILE, _TILE + v - 1, c)
+    return np.lib.stride_tricks.as_strided(
+        f2p, shape, (sr, sr, _TILE * sc, sc, sb), writeable=False)
+
+
+def _band(a: np.ndarray, v: int) -> np.ndarray:
+    """View ``(v, ..., _TILE)`` of ``a`` ``(..., _TILE, _TILE + v - 1)`` whose entry
+    ``[l, ..., x]`` is ``a[..., x, x + l]``: pixel ``x`` of a tile at column offset ``l``."""
+    *lead, step_x, step_j = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, (v, *a.shape[:-1]), (step_j, *lead, step_x + step_j))
+
+
+def _tiles(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the last (pixel) axis of ``a``: its whole tiles ``(..., n, _TILE)``
+    and the ``w - n * _TILE`` pixels after them."""
+    n = a.shape[-1] // _TILE
+    return a[..., : n * _TILE].reshape(*a.shape[:-1], n, _TILE, copy=False), a[..., n * _TILE :]
+
+
+def _tiled_pixels(t: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The views of ``t`` ``(..., nt, _TILE)`` that hold what :func:`_tiles`
+    splits a ``w``-pixel axis into; the padding past ``w`` is left out."""
+    return t[..., : w // _TILE, :], t[..., -1, : w % _TILE]
+
+
+def _window_costs(f1t: np.ndarray, f2p: np.ndarray, W: np.ndarray | None,
+                  u: int, v: int, w: int) -> np.ndarray:
+    """Costs ``(u * v, h, w)`` of :func:`_channel_last` frames under ``W``.
+
+    ``W`` goes onto the first frame (``f1^T W``, one GEMM), which leaves
+    the padded second frame the same for every kernel.  Per row offset,
+    one batched product of every row tile with its window gives an
+    ``(_TILE, _TILE + v - 1)`` block per tile whose bands are the costs.
+    One block buffer serves every offset: a buffer for all of them at
+    once (4.7 MB at c=64, 64x64, 9x9) page-faults afresh on every call.
+    """
+    h, wt, c = f1t.shape
+    if W is not None:
+        f1t = (f1t.reshape(h * wt, c) @ W).reshape(f1t.shape)
+    tiles = f1t.reshape(h, wt // _TILE, _TILE, c)
+    windows = _windows(f2p, u, v).swapaxes(-1, -2)
+    blocks = np.empty((h, wt // _TILE, _TILE, _TILE + v - 1))
+    band = _tiled_pixels(_band(blocks, v), w)
+    out = np.empty((u, v, h, w))
+    for k in range(u):
+        whole, rest = _tiles(out[k])
+        np.matmul(tiles, windows[k], out=blocks)
+        whole[...], rest[...] = band
+    return out.reshape(u * v, h, w)
+
+
+def _window_targets(f2p: np.ndarray, dC: np.ndarray) -> np.ndarray:
+    """``B`` ``(h * w, c)``: per pixel, the ``dC``-weighted sum of its targets
+    in a :func:`_channel_last` padded second frame, over every window cell.
+
+    This is the adjoint of :func:`_window_costs` in the second frame.  For
+    each row offset ``k``, ``dC[k]`` ``(v, h, w)`` fills the bands of one
+    ``(_TILE, _TILE + v - 1)`` block per row tile, and one batched product
+    with that offset's windows adds its cells.
+    """
+    u, v, h, w = dC.shape
+    windows = _windows(f2p, u, v)
+    nt, c = windows.shape[2], windows.shape[4]
+    blocks = np.zeros((h, nt, _TILE, _TILE + v - 1))
+    whole, rest = _tiled_pixels(_band(blocks, v), w)
+    B = np.zeros((h, nt, _TILE, c))
+    step = np.empty_like(B)
+    for k in range(u):
+        whole[...], rest[...] = _tiles(dC[k])
+        B += np.matmul(blocks, windows[k], out=step)
+    return B.reshape(h, nt * _TILE, c)[:, :w].reshape(h * w, c)
+
+
 def _correlate(f1: np.ndarray, f2: np.ndarray, W: np.ndarray | None, u: int, v: int) -> np.ndarray:
     """Costs ``(u * v, h, w)`` of ``f1`` against ``W f2`` (``f2`` itself when
     ``W`` is None), one plane per window cell in row-major order.
 
-    The channel reduction order is fixed, so repeated runs are bitwise
-    identical.
+    The reduction order is fixed, so repeated runs are bitwise identical.
     """
-    c, h, w = f1.shape
-    ru, rv = (u - 1) // 2, (v - 1) // 2
-    f2p = np.zeros((c, h + u - 1, w + v - 1))
-    f2p[:, ru : ru + h, rv : rv + w] = f2 if W is None else (W @ f2.reshape(c, -1)).reshape(f2.shape)
-    out = np.empty((u * v, h, w))
-    for k in range(u):
-        for l in range(v):
-            np.einsum("chw,chw->hw", f1, f2p[:, k : k + h, l : l + w], out=out[k * v + l])
-    return out
+    return _window_costs(*_channel_last(f1, f2, u, v), W, u, v, f1.shape[2])
 
 
 def cost_volume_bilinear(f1: FeatureMap, f2: FeatureMap, W: np.ndarray, u: int, v: int) -> CostVolume:
@@ -232,13 +333,15 @@ def write_tensor(path, array: np.ndarray) -> None:
     uint32 little endian, then the payload as float64 little endian in
     row-major order.
     """
-    arr = np.ascontiguousarray(np.asarray(array, dtype=float))
+    # The payload is written from the array's own buffer, so a contiguous
+    # little-endian float64 input is not copied.
+    arr = np.ascontiguousarray(array, dtype="<f8")
     if arr.ndim > 255:
         raise ValueError("write_tensor: rank exceeds the format's single byte")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sBB", _TENSOR_MAGIC, _TENSOR_VERSION, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f8").tobytes())
+        fh.write(arr)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -16,7 +16,6 @@ random-content disc) corrupt the second frame at evaluation time.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import time
 from dataclasses import dataclass, replace
@@ -29,8 +28,10 @@ from .costvolume import (
     FeatureMap,
     FlowField,
     _cells_by_magnitude,
+    _channel_last,
     _check_pair,
-    _correlate,
+    _window_costs,
+    _window_targets,
     _winners,
     cost_volume_bilinear,
     epe,
@@ -157,7 +158,7 @@ def generate(spec: SyntheticSpec) -> tuple[FeatureMap, FeatureMap, FlowField]:
             f"generate: max_displacement {m} does not fit a {h}x{w} frame"
         )
     rng = np.random.default_rng(spec.seed)
-    cs, cn = spec.signal_channels, spec.noise_channels
+    cs, c = spec.signal_channels, spec.channels
 
     sig2 = rng.standard_normal((cs, h, w))
     sig2 /= np.maximum(np.linalg.norm(sig2, axis=0, keepdims=True), 1e-300)
@@ -166,26 +167,25 @@ def generate(spec: SyntheticSpec) -> tuple[FeatureMap, FeatureMap, FlowField]:
     jj = np.broadcast_to(np.arange(w)[None, :], (h, w))
     dy = rng.integers(np.maximum(-m, -ii), np.minimum(m, h - 1 - ii) + 1)
     dx = rng.integers(np.maximum(-m, -jj), np.minimum(m, w - 1 - jj) + 1)
-    sig1 = sig2[:, ii + dy, jj + dx]
 
-    if cn:
+    def frame(signal: np.ndarray) -> FeatureMap:
         # Noise channels share the per-channel scale of the unit-norm
         # signal block so no channel is identifiable by amplitude alone.
-        scale = 1.0 / np.sqrt(cs)
-        noise1 = scale * rng.standard_normal((cn, h, w))
-        noise2 = scale * rng.standard_normal((cn, h, w))
-        frame1 = np.concatenate([sig1, noise1])
-        frame2 = np.concatenate([sig2, noise2])
-    else:
-        frame1, frame2 = sig1, sig2
+        # The noise is drawn in place and the frame handed over read-only,
+        # so the feature map keeps this buffer instead of a copy.
+        data = np.empty((c, h, w))
+        data[:cs] = signal
+        rng.standard_normal(out=data[cs:])
+        data[cs:] *= 1.0 / np.sqrt(cs)
+        if spec.mixing is not None:
+            data = (spec.mixing @ data.reshape(c, -1)).reshape(c, h, w)
+        data.setflags(write=False)
+        return FeatureMap(data)
 
-    if spec.mixing is not None:
-        c = spec.channels
-        frame1 = (spec.mixing @ frame1.reshape(c, -1)).reshape(frame1.shape)
-        frame2 = (spec.mixing @ frame2.reshape(c, -1)).reshape(frame2.shape)
-
+    f1 = frame(sig2[:, ii + dy, jj + dx])
+    f2 = frame(sig2)
     flow = FlowField(np.stack([dx.astype(float), dy.astype(float)]))
-    return FeatureMap(frame1), FeatureMap(frame2), flow
+    return f1, f2, flow
 
 
 def perturb(
@@ -276,51 +276,25 @@ def matching_loss(cv, gt: FlowField) -> tuple[float, np.ndarray]:
     return loss, Z.reshape(u, v, h, w)
 
 
-@functools.lru_cache(maxsize=4)
-def _window_pattern(h: int, w: int, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the window correlation as a sparse
-    ``(h * w, padded pixels)`` matrix, shared by every pair of one geometry.
-
-    Entry ``o * h * w + p`` links pixel ``p`` to its target under window
-    cell ``o`` in the zero-padded frame, so the entries run through the
-    cells in row-major order, as the costs do.
-    """
-    i, j = np.divmod(np.arange(h * w, dtype=np.int32), w)
-    cells = np.arange(u, dtype=np.int32)[:, None] * (w + v - 1) + np.arange(v, dtype=np.int32)
-    rows = np.tile(np.arange(h * w, dtype=np.int32), u * v)
-    cols = (cells.reshape(-1, 1) + (i * (w + v - 1) + j)).reshape(-1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def _grad_w_from_costs(f1: np.ndarray, f2: np.ndarray, dC: np.ndarray) -> np.ndarray:
     """Chain a cost-volume gradient ``dC`` ``(u, v, h, w)`` back to the kernel matrix.
 
     ``dL/dW[a, b] = sum_klij dC[k,l,i,j] f1[a,i,j] f2[b, i+k-ru, j+l-rv]``
-    with zero padding outside the second frame, which comes already
-    padded and channel-last, ``((h + u - 1) * (w + v - 1), c)``.  The
-    inner sum is one sparse product ``M f2`` whose data is a view of
-    ``dC``; each pixel adds its cells in row-major window order.
+    with zero padding outside the second frame, which comes padded and
+    channel-last from :func:`_channel_last`.  The inner sum over cells is
+    :func:`_window_targets`, then one GEMM with ``f1``.
     """
-    from scipy.sparse import coo_array
-
-    u, v, h, w = dC.shape
-    c = f1.shape[0]
-    M = coo_array((dC.reshape(-1), _window_pattern(h, w, u, v)),
-                  shape=(h * w, (h + u - 1) * (w + v - 1)))
-    B = M @ f2
-    # OpenBLAS rounds this product differently for other operand layouts;
-    # B goes in channel-first, as the per-cell loop used to produce it.
-    return f1.reshape(c, -1) @ np.ascontiguousarray(B.T).T
+    c, h, w = f1.shape
+    return f1.reshape(c, h * w) @ _window_targets(f2, dC)
 
 
 class _MatchingProblem:
     """One pair ``(f1, f2, gt)`` under a ``u x v`` window, scored for many kernels.
 
     What does not depend on ``W`` is prepared once: the window cells in
-    decoding order and, at the first gradient, the labels and the
-    zero-padded, channel-last second frame that the backward multiplies.
+    decoding order, the channel-last frames of :func:`_channel_last` (the
+    kernel goes onto the first, so the padded second frame serves every
+    forward and backward) and, at the first gradient, the labels.
     ``loss_grad`` runs the forward once and takes the decode, the loss and
     the gradient from that one cost tensor.
     """
@@ -328,18 +302,18 @@ class _MatchingProblem:
     def __init__(self, f1: FeatureMap, f2: FeatureMap, gt: FlowField, window: tuple[int, int]):
         u, v = window
         _check_pair(f1, f2, u, v)
-        self.f1, self.f2, self.gt = f1.data, f2.data, gt
+        self.f1, self.gt = f1.data, gt
         self.u, self.v = u, v
         self.order = _cells_by_magnitude(u, v)
+        self._f1_tiled, self._f2_padded = _channel_last(f1.data, f2.data, u, v)
         self._labels = None
-        self._f2_padded = None
 
     def _costs(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Costs ``(u * v, h, w)`` under ``W`` and their per-pixel maximum."""
-        c = self.f1.shape[0]
+        c, _, w = self.f1.shape
         if W.shape != (c, c):
             raise ValueError(f"matching: W shape {W.shape}, expected {(c, c)}")
-        Z = _correlate(self.f1, self.f2, W, self.u, self.v)
+        Z = _window_costs(self._f1_tiled, self._f2_padded, W, self.u, self.v, w)
         best = Z.max(axis=0)
         if not (np.isfinite(Z.min()) and np.isfinite(best.max())):
             raise NumericalError("matching: the costs under this kernel are not finite")
@@ -353,13 +327,9 @@ class _MatchingProblem:
     def loss_grad(self, W: np.ndarray) -> tuple[float, np.ndarray, float]:
         """Mean matching loss, its gradient on ``W`` and the AEPE of the decode."""
         u, v = self.u, self.v
-        c, h, w = self.f1.shape
+        _, h, w = self.f1.shape
         if self._labels is None:
-            ru, rv = (u - 1) // 2, (v - 1) // 2
-            padded = np.zeros((h + u - 1, w + v - 1, c))
-            padded[ru : ru + h, rv : rv + w] = self.f2.transpose(1, 2, 0)
             self._labels = _labels(self.gt, u, v)
-            self._f2_padded = padded.reshape(-1, c)
         Z, best = self._costs(W)
         aepe = epe(_winners(Z, best, self.order, v), self.gt)
         loss = _softmax_xent(Z, best, self._labels)
@@ -690,7 +660,7 @@ def run_gradcheck(
         t = DiagParams(t=rng.uniform(-0.5, 0.5, c))
 
         # The probes take the loss through the public cost volume, without
-        # the sparse backward and the decode that the analytic side runs.
+        # the backward and the decode that the analytic side runs.
         def match_loss(sp, tp, f1=f1, f2=f2, gt=gt):
             cv = cost_volume_bilinear(f1, f2, assemble_kernel(sp, tp).W, 3, 3)
             return matching_loss(cv, gt)[0]

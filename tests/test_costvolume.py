@@ -121,6 +121,12 @@ class TestCorrelation:
         b = learnable_cost_volume(f1, f2, k, 5, 5).data
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("h,w", [(3, 0), (0, 3), (0, 0)])
+    def test_empty_frames_give_empty_volumes(self, h, w):
+        f = FeatureMap(np.zeros((2, h, w)))
+        assert vanilla_cost_volume(f, f, 3, 5).data.shape == (3, 5, h, w)
+        assert cost_volume_bilinear(f, f, np.eye(2), 3, 5).data.shape == (3, 5, h, w)
+
     def test_even_window_rejected(self):
         rng = np.random.default_rng(5)
         f = FeatureMap(rng.standard_normal((2, 4, 4)))
@@ -302,6 +308,24 @@ class TestContainers:
         with pytest.raises(ValueError):
             FlowField(np.zeros((3, 4, 4)))
 
+    def test_feature_map_copies_what_could_still_change(self):
+        rng = np.random.default_rng(17)
+        writable = rng.standard_normal((2, 3, 3))
+        view = writable[:, :2]
+        view.setflags(write=False)
+        for data in (writable, view, writable.astype(">f8"), writable.astype(np.float32)):
+            f = FeatureMap(data)
+            assert not np.shares_memory(f.data, data)
+            assert not f.data.flags.writeable
+        before = FeatureMap(writable).data.copy()
+        writable += 1.0
+        assert np.array_equal(FeatureMap(writable).data, before + 1.0)
+
+    def test_feature_map_keeps_a_read_only_owned_array(self):
+        data = np.random.default_rng(18).standard_normal((2, 3, 3))
+        data.setflags(write=False)
+        assert FeatureMap(data).data is data
+
 
 class TestTensorFiles:
     @pytest.mark.parametrize("shape", [(4,), (2, 3), (3, 2, 2), (2, 2, 2, 2)])
@@ -313,6 +337,24 @@ class TestTensorFiles:
         back = read_tensor(path)
         assert back.shape == arr.shape
         np.testing.assert_array_equal(back, arr)
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a,
+        lambda a: np.rint(4 * a).astype(np.int32),
+        lambda a: a.transpose(2, 0, 1)[:, ::2],
+        lambda a: a.astype(">f8"),
+    ], ids=["float", "int", "non-contiguous", "big-endian"])
+    def test_writes_the_bytes_of_a_converted_copy(self, tmp_path, make):
+        # The payload is written from the array's buffer without the
+        # copies it used to take; the file must not change.
+        arr = make(np.random.default_rng(19).standard_normal((3, 4, 5)))
+        converted = np.ascontiguousarray(np.asarray(arr, dtype=float))
+        expected = (struct.pack("<4sBB", b"LCVT", 1, converted.ndim)
+                    + struct.pack(f"<{converted.ndim}I", *converted.shape)
+                    + converted.astype("<f8").tobytes())
+        path = tmp_path / "c.lcvt"
+        write_tensor(path, arr)
+        assert path.read_bytes() == expected
 
     def test_preserves_special_values(self, tmp_path):
         arr = np.array([0.0, -0.0, 1e-308, 1e308])

@@ -40,6 +40,7 @@ from lcv.harness import (
     run_experiment,
     run_gradcheck,
     run_sweep,
+    score_pair,
     train_kernel,
 )
 from lcv.kernel import assemble_kernel, identity_kernel, kernel_factor_grads, kernel_grad
@@ -117,6 +118,37 @@ class TestGenerate:
             mixed2.data, (M @ plain2.data.reshape(c, -1)).reshape(plain2.data.shape), atol=1e-12
         )
         np.testing.assert_array_equal(mf.data, pf.data)
+
+    @pytest.mark.parametrize("spec", [
+        TINY,
+        SyntheticSpec(height=5, width=9, signal_channels=3, noise_channels=0,
+                      max_displacement=2, seed=11),
+        SyntheticSpec(height=7, width=4, signal_channels=1, noise_channels=3,
+                      max_displacement=1, seed=12, mixing=np.arange(16.0).reshape(4, 4) / 7),
+    ])
+    def test_matches_the_concatenating_reference_bitwise(self, spec):
+        # The frames are filled in place; every draw and every value must
+        # be those of drawing each block on its own and joining them.
+        h, w, m = spec.height, spec.width, spec.max_displacement
+        cs, cn = spec.signal_channels, spec.noise_channels
+        rng = np.random.default_rng(spec.seed)
+        sig2 = rng.standard_normal((cs, h, w))
+        sig2 /= np.maximum(np.linalg.norm(sig2, axis=0, keepdims=True), 1e-300)
+        ii = np.broadcast_to(np.arange(h)[:, None], (h, w))
+        jj = np.broadcast_to(np.arange(w)[None, :], (h, w))
+        dy = rng.integers(np.maximum(-m, -ii), np.minimum(m, h - 1 - ii) + 1)
+        dx = rng.integers(np.maximum(-m, -jj), np.minimum(m, w - 1 - jj) + 1)
+        scale = 1.0 / np.sqrt(cs)
+        frame1 = np.concatenate([sig2[:, ii + dy, jj + dx], scale * rng.standard_normal((cn, h, w))])
+        frame2 = np.concatenate([sig2, scale * rng.standard_normal((cn, h, w))])
+        if spec.mixing is not None:
+            frame1 = (spec.mixing @ frame1.reshape(cs + cn, -1)).reshape(frame1.shape)
+            frame2 = (spec.mixing @ frame2.reshape(cs + cn, -1)).reshape(frame2.shape)
+
+        f1, f2, flow = generate(spec)
+        assert f1.data.tobytes() == frame1.tobytes()
+        assert f2.data.tobytes() == frame2.tobytes()
+        assert flow.data.tobytes() == np.stack([dx, dy]).astype(float).tobytes()
 
     def test_oversized_displacement_rejected(self):
         with pytest.raises(ValueError):
@@ -254,7 +286,8 @@ class TestMatchingLoss:
 
 # Reference implementation of the matching chain as it was written before
 # the engine: one correlation per window cell, a dense per-cell backward
-# and a where/argmin decode.  The engine must reproduce it bit for bit.
+# and a where/argmin decode.  The engine sums in another order, so it
+# matches the reference byte for byte only where every sum is exact.
 
 def _ref_costs(f1, f2, W, u, v):
     c, h, w = f1.shape
@@ -312,62 +345,102 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+# Rounding gates, relative to the same sums taken over absolute values: a
+# sum of n products in any order is within about n * 1.1e-16 of another.
+# Costs sum at most 2c = 8 products here and dW a few hundred.
+COST_RTOL = 1e-14
+GRAD_RTOL = 1e-12
+
+
 @st.composite
-def matching_cases(draw):
+def matching_cases(draw, integer):
     """Small pairs with odd, possibly unequal window sides and integer flow
-    anywhere in the window, border included.  Integer features and an
-    integer ``W`` make exact cost ties common."""
+    anywhere in the window, border included.  Widths run past two tiles
+    of the correlation, with whole tiles and partial ones.  ``integer``
+    draws integer features and an integer ``W``, which make every sum
+    exact and exact cost ties common; otherwise both are real.  ``W`` is
+    not symmetric, so applying ``W^T`` for ``W`` shows."""
     c = draw(st.integers(1, 4))
     h = draw(st.integers(1, 6))
-    w = draw(st.integers(1, 7))
+    w = draw(st.integers(1, 17) | st.sampled_from([8, 16]))
     u = draw(st.sampled_from([1, 3, 5]))
     v = draw(st.sampled_from([1, 3, 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    if integer:
         f1 = rng.integers(-2, 3, (c, h, w)).astype(float)
         f2 = rng.integers(-2, 3, (c, h, w)).astype(float)
-        W = np.eye(c) + np.diag(rng.integers(0, 2, c).astype(float))
+        W = np.eye(c) + rng.integers(0, 2, (c, c)).astype(float)
     else:
         f1 = rng.standard_normal((c, h, w))
         f2 = rng.standard_normal((c, h, w))
-        A = rng.standard_normal((c, c))
-        W = A @ A.T + 0.1 * np.eye(c)
+        W = rng.standard_normal((c, c)) + np.eye(c)
     ru, rv = (u - 1) // 2, (v - 1) // 2
     gt = np.stack([rng.integers(-rv, rv + 1, (h, w)), rng.integers(-ru, ru + 1, (h, w))])
     return f1, f2, gt.astype(float), W, u, v
 
 
+def _check_engine(f1, f2, gt, W, u, v):
+    """Check the engine and the public path on one case; returns the
+    engine's costs and the reference's.
+
+    Everything downstream of the costs (loss, decode, AEPE) must be
+    bitwise what the reference computes from the engine's own costs; the
+    costs and ``dW`` must be within rounding of the reference."""
+    cv = cost_volume_bilinear(FeatureMap(f1), FeatureMap(f2), W, u, v)
+    costs = cv.data
+    loss, dC = _ref_loss(costs, gt)
+    flow = _ref_decode(costs)
+    aepe = epe(FlowField(flow), FlowField(gt))
+
+    problem = _MatchingProblem(FeatureMap(f1), FeatureMap(f2), FlowField(gt), (u, v))
+    got_loss, got_dW, got_aepe = problem.loss_grad(W)
+    assert _bits(got_loss) == _bits(loss)
+    assert _bits(got_aepe) == _bits(aepe)
+    # A second evaluation reuses the prepared frames.
+    assert _bits(problem.loss_grad(W)[1]) == _bits(got_dW)
+    assert _bits(problem.decode(W).data) == _bits(flow)
+    assert _bits(decode_flow_argmax(cv).data) == _bits(flow)
+    public_loss, public_dC = matching_loss(cv, FlowField(gt))
+    assert _bits(public_loss) == _bits(loss)
+    assert _bits(public_dC) == _bits(dC)
+
+    ref = _ref_costs(f1, f2, W, u, v)
+    scale = _ref_costs(np.abs(f1), np.abs(f2), np.abs(W), u, v)
+    assert np.all(np.abs(costs - ref) <= COST_RTOL * scale)
+    dW = _ref_grad_w(f1, f2, dC)
+    assert np.all(np.abs(got_dW - dW) <= GRAD_RTOL * _ref_grad_w(np.abs(f1), np.abs(f2), np.abs(dC)))
+    return costs, ref
+
+
 class TestMatchingEngine:
     @settings(max_examples=300, deadline=None)
-    @given(matching_cases())
+    @given(matching_cases(integer=True))
     def test_reproduces_the_reference_bitwise(self, case):
-        f1, f2, gt, W, u, v = case
-        costs = _ref_costs(f1, f2, W, u, v)
-        loss, dC = _ref_loss(costs, gt)
-        dW = _ref_grad_w(f1, f2, dC)
-        flow = _ref_decode(costs)
-        aepe = epe(FlowField(flow), FlowField(gt))
+        costs, ref = _check_engine(*case)
+        # Exact sums: the costs, and so loss, decode and AEPE, are the
+        # reference's byte for byte.
+        assert _bits(costs) == _bits(ref)
 
-        problem = _MatchingProblem(FeatureMap(f1), FeatureMap(f2), FlowField(gt), (u, v))
-        got_loss, got_dW, got_aepe = problem.loss_grad(W)
-        assert _bits(got_loss) == _bits(loss)
-        assert _bits(got_dW) == _bits(dW)
-        assert _bits(got_aepe) == _bits(aepe)
-        # A second evaluation reuses the prepared frame.
-        assert _bits(problem.loss_grad(W)[1]) == _bits(dW)
-        assert _bits(problem.decode(W).data) == _bits(flow)
+    @settings(max_examples=300, deadline=None)
+    @given(matching_cases(integer=False))
+    def test_stays_within_rounding_of_the_reference(self, case):
+        _check_engine(*case)
 
-        cv = cost_volume_bilinear(FeatureMap(f1), FeatureMap(f2), W, u, v)
-        assert _bits(cv.data) == _bits(costs)
-        assert _bits(decode_flow_argmax(cv).data) == _bits(flow)
-        public_loss, public_dC = matching_loss(cv, FlowField(gt))
-        assert _bits(public_loss) == _bits(loss)
-        assert _bits(public_dC) == _bits(dC)
+    @settings(max_examples=100, deadline=None)
+    @given(matching_cases(integer=False))
+    def test_identity_kernel_is_the_vanilla_volume(self, case):
+        f1, f2, gt, _, u, v = case
+        f1, f2, gt = FeatureMap(f1), FeatureMap(f2), FlowField(gt)
+        ident = identity_kernel(f1.channels)
+        plain = vanilla_cost_volume(f1, f2, u, v)
+        assert _bits(cost_volume_bilinear(f1, f2, ident.W, u, v).data) == _bits(plain.data)
+        scores = score_pair(f1, f2, gt, ident, ident, (u, v))
+        assert _bits(scores["aepe_identity"]) == _bits(epe(decode_flow_argmax(plain), gt))
 
     def test_non_finite_costs_are_numerical_errors(self):
         f = FeatureMap(np.full((1, 3, 3), 1e200))
         problem = _MatchingProblem(f, f, FlowField(np.zeros((2, 3, 3))), (3, 3))
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
             problem.loss_grad(np.eye(1) * 1e200)
 
     def test_kernel_of_the_wrong_size_rejected(self):
@@ -376,14 +449,14 @@ class TestMatchingEngine:
         with pytest.raises(ValueError, match="W shape"):
             problem.decode(np.eye(3))
 
-    def test_asymmetric_geometry_passes_the_finite_difference_gate(self):
-        # A 4x6 frame under a 5x3 window: swapped h/w or u/v arithmetic in
-        # the backward cannot cancel out, as it can on square frames.
-        rng = np.random.default_rng(43)
-        c, h, w, u, v = 3, 4, 6, 5, 3
+    @staticmethod
+    def _finite_difference_gate(seed, c, h, w, u, v):
+        rng = np.random.default_rng(seed)
         f1 = FeatureMap(0.5 * rng.standard_normal((c, h, w)))
         f2 = FeatureMap(0.5 * rng.standard_normal((c, h, w)))
-        gt = FlowField(np.stack([rng.integers(-1, 2, (h, w)), rng.integers(-2, 3, (h, w))]).astype(float))
+        ru, rv = (u - 1) // 2, (v - 1) // 2
+        gt = FlowField(np.stack([rng.integers(-rv, rv + 1, (h, w)),
+                                 rng.integers(-ru, ru + 1, (h, w))]).astype(float))
         s = SkewParams(entries=rng.uniform(-0.5, 0.5, c * (c - 1) // 2), dim=c)
         t = DiagParams(t=rng.uniform(-0.5, 0.5, c))
 
@@ -398,6 +471,16 @@ class TestMatchingEngine:
         a = np.concatenate([analytic.d_skew, analytic.d_diag])
         n = np.concatenate([numeric.d_skew, numeric.d_diag])
         assert np.linalg.norm(a - n) < 1e-5 * np.linalg.norm(n)
+
+    def test_asymmetric_geometry_passes_the_finite_difference_gate(self):
+        # A 4x6 frame under a 5x3 window: swapped h/w or u/v arithmetic in
+        # the backward cannot cancel out, as it can on square frames.
+        self._finite_difference_gate(43, 3, 4, 6, 5, 3)
+
+    def test_multi_tile_geometry_passes_the_finite_difference_gate(self):
+        # 17 columns are two whole tiles of the correlation and one pixel
+        # of a third, so tile seams and the partial tile carry gradient.
+        self._finite_difference_gate(47, 3, 4, 17, 5, 3)
 
 
 class TestTraining:
