@@ -33,19 +33,12 @@ _TENSOR_VERSION = 1
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Dense feature tensor of shape ``(channels, height, width)``.
-
-    The data is copied, except a read-only float64 array that owns its
-    memory: that one is kept as it is, since a copy would only cost time.
-    """
+    """Dense feature tensor of shape ``(channels, height, width)``."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        d = self.data
-        if not (type(d) is np.ndarray and d.dtype == np.float64
-                and d.base is None and not d.flags.writeable):
-            d = np.array(d, dtype=float)
+        d = np.array(self.data, dtype=float)
         if d.ndim != 3:
             raise ValueError(f"FeatureMap: expected 3-D data, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
@@ -160,7 +153,8 @@ def _tiles(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Views of the last (pixel) axis of ``a``: its whole tiles ``(..., n, _TILE)``
     and the ``w - n * _TILE`` pixels after them."""
     n = a.shape[-1] // _TILE
-    return a[..., : n * _TILE].reshape(*a.shape[:-1], n, _TILE, copy=False), a[..., n * _TILE :]
+    # Splitting the last axis, which is contiguous, never copies.
+    return a[..., : n * _TILE].reshape(*a.shape[:-1], n, _TILE), a[..., n * _TILE :]
 
 
 def _tiled_pixels(t: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:

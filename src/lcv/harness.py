@@ -171,15 +171,12 @@ def generate(spec: SyntheticSpec) -> tuple[FeatureMap, FeatureMap, FlowField]:
     def frame(signal: np.ndarray) -> FeatureMap:
         # Noise channels share the per-channel scale of the unit-norm
         # signal block so no channel is identifiable by amplitude alone.
-        # The noise is drawn in place and the frame handed over read-only,
-        # so the feature map keeps this buffer instead of a copy.
         data = np.empty((c, h, w))
         data[:cs] = signal
         rng.standard_normal(out=data[cs:])
         data[cs:] *= 1.0 / np.sqrt(cs)
         if spec.mixing is not None:
             data = (spec.mixing @ data.reshape(c, -1)).reshape(c, h, w)
-        data.setflags(write=False)
         return FeatureMap(data)
 
     f1 = frame(sig2[:, ii + dy, jj + dx])
