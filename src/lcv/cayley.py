@@ -28,6 +28,7 @@ import numpy as np
 
 ORTHOGONALITY_TOL = 1e-10
 SO_STAR_MARGIN = 1e-8
+SKEW_TOL = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -144,15 +145,13 @@ class SOStarCheck:
         return self.is_member
 
 
-def pack_skew(S: np.ndarray, tol: float = 1e-12) -> SkewParams:
+def pack_skew(S: np.ndarray) -> SkewParams:
     """Extract the free parameters of a skew-symmetric matrix.
 
     Parameters
     ----------
     S : ndarray
-        Square matrix with ``S.T == -S`` within ``tol``.
-    tol : float
-        Largest tolerated deviation from exact skew-symmetry.
+        Square matrix with ``S.T == -S`` within ``SKEW_TOL``.
 
     Returns
     -------
@@ -163,7 +162,7 @@ def pack_skew(S: np.ndarray, tol: float = 1e-12) -> SkewParams:
     _require_square(S, "pack_skew")
     _require_finite(S, "pack_skew")
     asym = float(np.max(np.abs(S + S.T)))
-    if asym > tol:
+    if asym > SKEW_TOL:
         raise ValueError(f"pack_skew: matrix is not skew-symmetric (deviation {asym:.3e})")
     n = S.shape[0]
     rows, cols = np.tril_indices(n, -1)
@@ -201,7 +200,7 @@ def cayley_forward(S: np.ndarray) -> OrthogonalMatrix:
     return OrthogonalMatrix(values)
 
 
-def cayley_inverse(P: OrthogonalMatrix | np.ndarray, margin: float = SO_STAR_MARGIN) -> np.ndarray:
+def cayley_inverse(P: OrthogonalMatrix | np.ndarray) -> np.ndarray:
     """Recover the skew-symmetric preimage ``S = (I + P)^{-1}(I - P)``.
 
     Membership in SO*(n) is checked first; matrices carrying an eigenvalue
@@ -209,7 +208,7 @@ def cayley_inverse(P: OrthogonalMatrix | np.ndarray, margin: float = SO_STAR_MAR
     offending eigenvalue attached.
     """
     values = P.values if isinstance(P, OrthogonalMatrix) else np.asarray(P, dtype=float)
-    check = is_in_so_star(values, margin=margin)
+    check = is_in_so_star(values)
     if not check:
         raise NotInSOStarError(
             "cayley_inverse: input is not in SO*(n) "

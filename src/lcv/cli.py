@@ -83,10 +83,19 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
+def _integer(value, key: str) -> int:
+    """``value`` if it is a JSON integer; floats and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config: {key} must be an integer, got {value!r}")
+    return value
+
+
 def _synthetic(cfg: dict, seed_override: int | None) -> SyntheticSpec:
     section = dict(cfg["synthetic"])
     if seed_override is not None:
         section["seed"] = seed_override
+    for key in ("seed", "signal_channels"):
+        _integer(section[key], f"synthetic.{key}")
     mixing = section.pop("mixing")
     return SyntheticSpec(
         mixing=None if mixing is None else np.asarray(mixing, dtype=float),
@@ -106,7 +115,7 @@ def _window(cfg: dict) -> tuple[int, int]:
     window = cfg["window"]
     if not (isinstance(window, (list, tuple)) and len(window) == 2):
         raise ValueError(f"config: window must be a pair, got {window!r}")
-    return int(window[0]), int(window[1])
+    return _integer(window[0], "window"), _integer(window[1], "window")
 
 
 def cmd_generate(args) -> int:
@@ -131,7 +140,7 @@ def cmd_train(args) -> int:
     spec = _synthetic(cfg, args.seed)
     opt = _optimizer(cfg)
     window = _window(cfg)
-    count = int(cfg["instances"])
+    count = _integer(cfg["instances"], "instances")
     check_window(window, spec.max_displacement)
     data, _ = experiment_instances(spec, count)
     n_train, _ = _split(count)
@@ -161,14 +170,13 @@ def cmd_eval(args) -> int:
         cfg = load_config(None)
     window = _window(cfg)
     p = _perturb(cfg)
-    seed = args.seed if args.seed is not None else int(cfg["synthetic"]["seed"])
+    spec = _synthetic(cfg, args.seed)
 
     kernel = load_kernel(args.checkpoint)
     f1 = FeatureMap(read_tensor(data_dir / "f1.lcvt"))
     f2 = FeatureMap(read_tensor(data_dir / "f2.lcvt"))
     gt = FlowField(read_tensor(data_dir / "flow.lcvt"))
-    signal_channels = int(cfg["synthetic"]["signal_channels"])
-    f2p = perturb(f2, p, seed=seed, signal_channels=min(signal_channels, f2.channels))
+    f2p = perturb(f2, p, seed=spec.seed, signal_channels=min(spec.signal_channels, f2.channels))
     scores = score_pair(f1, f2p, gt, kernel, identity_kernel(f1.channels), window)
     metrics = {
         "aepe": scores["aepe_learned"],
@@ -193,7 +201,7 @@ def cmd_sweep(args) -> int:
     if isinstance(raw_seeds, int):
         seeds = [spec.seed + i for i in range(raw_seeds)]
     elif isinstance(raw_seeds, list):
-        seeds = [int(s) for s in raw_seeds]
+        seeds = [_integer(s, "sweep.seeds") for s in raw_seeds]
     else:
         raise ValueError("config: sweep.seeds must be an int count or a list of seeds")
     results = run_sweep(
@@ -204,7 +212,7 @@ def cmd_sweep(args) -> int:
         gamma_grid=tuple(sweep_cfg["gamma_grid"]),
         noise_grid=tuple(sweep_cfg["noise_grid"]),
         patch_grid=tuple(sweep_cfg["patch_grid"]),
-        instances=int(cfg["instances"]),
+        instances=_integer(cfg["instances"], "instances"),
     )
     csv_path, json_path = report(results, args.out)
     print(f"sweep: {len(results)} rows -> {csv_path}, {json_path}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,48 +28,36 @@ from .cayley import (
     unpack_skew,
 )
 
-KERNEL_ASSEMBLY_TOL = 1e-10
-
 _CHECKPOINT_MAGIC = b"LCVK"
 _CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
 class SPDKernel:
-    """A symmetric positive definite kernel with its spectral factors.
+    """A symmetric positive definite kernel built from its spectral factors.
 
-    Invariants checked at construction: ``W`` equals ``P^T diag(lam) P``
-    within 1e-10 elementwise, ``W`` is symmetric within 1e-10, and every
-    diagonal entry ``lam[i]`` is strictly positive (which, with ``P``
-    orthogonal, makes ``W`` positive definite).
+    Only ``P`` and the free parameters are inputs: ``lam`` is derived from
+    ``diag_params`` by the arctan map and ``W = P^T diag(lam) P`` from
+    ``(P, lam)``, once, at construction.  Every ``lam[i]`` is checked
+    strictly positive and finite before ``W`` is formed, which, with ``P``
+    orthogonal, makes ``W`` positive definite.
     """
 
-    W: np.ndarray
     P: OrthogonalMatrix
-    lam: np.ndarray
     skew_params: SkewParams
     diag_params: DiagParams
+    lam: np.ndarray = field(init=False)
+    W: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        W = np.array(self.W, dtype=float)
-        lam = np.array(self.lam, dtype=float)
-        n = self.P.dim
-        if W.shape != (n, n):
-            raise ValueError(f"SPDKernel: W has shape {W.shape}, expected {(n, n)}")
-        if lam.shape != (n,):
-            raise ValueError(f"SPDKernel: lam has shape {lam.shape}, expected {(n,)}")
-        if self.skew_params.dim != n or self.diag_params.dim != n:
+        if self.skew_params.dim != self.P.dim or self.diag_params.dim != self.P.dim:
             raise ValueError("SPDKernel: parameter dimensions disagree with the factors")
+        lam = lambda_from_t(self.diag_params)
+        if not np.all(np.isfinite(lam) & (lam > 0.0)):
+            raise ValueError("SPDKernel: lam must be finite and strictly positive")
+        W = self.P.values.T @ (lam[:, None] * self.P.values)
+        W = 0.5 * (W + W.T)
         _require_finite(W, "SPDKernel")
-        if np.any(lam <= 0.0):
-            raise ValueError("SPDKernel: lam must be strictly positive")
-        sym_err = float(np.max(np.abs(W - W.T)))
-        if sym_err > KERNEL_ASSEMBLY_TOL:
-            raise ValueError(f"SPDKernel: W is asymmetric by {sym_err:.3e}")
-        rebuilt = self.P.values.T @ (lam[:, None] * self.P.values)
-        gap = float(np.max(np.abs(W - rebuilt)))
-        if gap > KERNEL_ASSEMBLY_TOL:
-            raise ValueError(f"SPDKernel: W disagrees with P^T diag(lam) P by {gap:.3e}")
         W.setflags(write=False)
         lam.setflags(write=False)
         object.__setattr__(self, "W", W)
@@ -108,17 +96,12 @@ class KernelGradient:
 def assemble_kernel(s: SkewParams, t: DiagParams) -> SPDKernel:
     """Build the SPD kernel generated by free parameters ``(s, t)``.
 
-    ``P`` comes from the Cayley map of the skew matrix packed in ``s`` and
-    ``lam`` from the arctan map of ``t``; the product is symmetrized to
-    wipe round-off before validation.
+    ``P`` comes from the Cayley map of the skew matrix packed in ``s``;
+    :class:`SPDKernel` derives ``lam`` and ``W`` from ``P`` and ``t``.
     """
     if s.dim != t.dim:
         raise ValueError(f"assemble_kernel: skew dim {s.dim} != diag dim {t.dim}")
-    P = cayley_forward(unpack_skew(s))
-    lam = lambda_from_t(t)
-    W = P.values.T @ (lam[:, None] * P.values)
-    W = 0.5 * (W + W.T)
-    return SPDKernel(W=W, P=P, lam=lam, skew_params=s, diag_params=t)
+    return SPDKernel(P=cayley_forward(unpack_skew(s)), skew_params=s, diag_params=t)
 
 
 def identity_kernel(dim: int) -> SPDKernel:

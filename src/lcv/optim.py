@@ -27,7 +27,6 @@ from .cayley import (
     SkewParams,
     cayley_inverse,
     dlambda_dt,
-    lambda_from_t,
     pack_skew,
 )
 from .kernel import (
@@ -40,6 +39,7 @@ from .kernel import (
 )
 
 _MODES = ("cayley", "stiefel")
+INV_SQRT_SYM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,13 @@ def stiefel_retract(X: OrthogonalMatrix, Z: np.ndarray) -> OrthogonalMatrix:
     return OrthogonalMatrix((Xv + Z) @ matrix_inv_sqrt(M))
 
 
-def matrix_inv_sqrt(M: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
+def matrix_inv_sqrt(M: np.ndarray) -> np.ndarray:
     """Inverse square root of an SPD matrix via its eigendecomposition."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix_inv_sqrt: expected a square matrix, got {M.shape}")
     asym = float(np.max(np.abs(M - M.T)))
-    if asym > sym_tol:
+    if asym > INV_SQRT_SYM_TOL:
         raise ValueError(f"matrix_inv_sqrt: matrix is asymmetric by {asym:.3e}")
     w, V = np.linalg.eigh(0.5 * (M + M.T))
     if w[0] <= 0.0:
@@ -150,16 +150,7 @@ def _stiefel_move(kernel: SPDKernel, Z: np.ndarray, lr: float, d_diag: np.ndarra
         raise ValueError("stiefel_sgd_step: d_diag must be finite")
     newP = stiefel_retract(kernel.P, -lr * Z)
     t = DiagParams(t=kernel.diag_params.t - lr * d_diag)
-    lam = lambda_from_t(t)
-    W = newP.values.T @ (lam[:, None] * newP.values)
-    W = 0.5 * (W + W.T)
-    return SPDKernel(
-        W=W,
-        P=newP,
-        lam=lam,
-        skew_params=pack_skew(cayley_inverse(newP)),
-        diag_params=t,
-    )
+    return SPDKernel(P=newP, skew_params=pack_skew(cayley_inverse(newP)), diag_params=t)
 
 
 def gradient_step(

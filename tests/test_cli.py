@@ -190,13 +190,22 @@ class TestTrain:
         main(["train", "--config", tiny_config, "--out", str(p2)])
         assert (tmp_path / "r1.lcvk").read_bytes() == (tmp_path / "r2.lcvk").read_bytes()
 
-    @pytest.mark.parametrize("window", [[3, 3], [4, 5]])
+    @pytest.mark.parametrize("window", [[3, 3], [4, 5], [5.5, 5]])
     def test_bad_window_exits_1_before_writing(self, tmp_path, capsys, window):
-        # The default max_displacement of 2 needs at least a 5x5 window.
+        # The default max_displacement of 2 needs at least a 5x5 window, and
+        # a fractional size is refused rather than truncated.
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"window": window}))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "ck")]) == 1
-        assert "cover" in capsys.readouterr().err
+        whole = all(isinstance(x, int) for x in window)
+        assert ("cover" if whole else "window must be an integer") in capsys.readouterr().err
+        assert not (tmp_path / "ck.step0.lcvk").exists()
+
+    def test_fractional_instances_exits_1_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"instances": 2.7}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "ck")]) == 1
+        assert "instances must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "ck.step0.lcvk").exists()
 
     def test_numerical_blow_up_exits_2(self, tmp_path, tiny_config, capsys):

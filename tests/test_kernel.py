@@ -6,6 +6,7 @@ d_diag = 4/pi per channel (the diagonal map's slope at zero).
 """
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lcv.kernel import (
     whitening_pca,
     whitening_zca,
 )
+from lcv.optim import stiefel_sgd_step
 
 
 def random_kernel(rng, dim, scale=1.0):
@@ -49,10 +51,16 @@ class TestAssembly:
         )
         np.testing.assert_allclose(k.W, np.diag([3.0, 1.0]), atol=1e-15)
 
-    def test_factorization_holds(self):
+    def test_factorization_holds(self, tmp_path):
+        # Assembled, after a Stiefel step, and after a checkpoint round trip.
         rng = np.random.default_rng(5)
-        for dim in (2, 4, 16):
-            k = random_kernel(rng, dim, scale=2.0)
+        kernels = [random_kernel(rng, dim, scale=2.0) for dim in (2, 4, 16)]
+        G = rng.standard_normal((4, 4))
+        kernels.append(stiefel_sgd_step(kernels[1], G, 0.05, d_diag=rng.standard_normal(4)))
+        save_kernel(tmp_path / "k.lcvk", kernels[2])
+        kernels.append(load_kernel(tmp_path / "k.lcvk"))
+        for k in kernels:
+            np.testing.assert_array_equal(k.lam, lambda_from_t(k.diag_params.t))
             W_rebuilt = k.P.values.T @ np.diag(k.lam) @ k.P.values
             np.testing.assert_allclose(k.W, W_rebuilt, atol=1e-12)
             np.testing.assert_allclose(k.W, k.W.T, atol=1e-15)
@@ -75,9 +83,10 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_kernel(SkewParams(entries=np.zeros(1), dim=2), DiagParams(t=np.zeros(3)))
 
-    def test_inconsistent_kernel_rejected(self):
+    def test_w_is_not_an_input(self):
+        # W and lam are derived from (P, t), so a caller cannot supply them.
         k = identity_kernel(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SPDKernel(
                 W=np.diag([2.0, 1.0]),
                 P=k.P,
@@ -237,6 +246,17 @@ class TestSerialization:
         path.write_bytes(struct.pack("<4sBI", b"LCVK", 1, dim))
         with pytest.raises(ValueError, match="big.lcvk"):
             load_kernel(path)
+
+    def test_unbounded_lam_rejected_before_forming_w(self, tmp_path):
+        # t = 1e300 maps to lam = inf; the kernel must refuse it before the
+        # product with P turns it into NaN.  The divide-by-zero inside the
+        # arctan map itself is silenced here.
+        path = tmp_path / "huge.lcvk"
+        path.write_bytes(struct.pack("<4sBI3d", b"LCVK", 1, 2, 0.0, 1e300, 0.0))
+        with np.errstate(divide="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="huge.lcvk"):
+                load_kernel(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "x.lcvk"
