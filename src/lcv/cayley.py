@@ -57,6 +57,20 @@ def _require_finite(a: np.ndarray, who: str) -> None:
         raise ValueError(f"{who}: values must be finite")
 
 
+def _frozen(value, who: str, ndim: int) -> np.ndarray:
+    """A read-only, finite float64 copy of ``value`` with ``ndim`` axes.
+
+    Every array a frozen container stores goes through here, so a factor
+    checked once cannot change afterwards.
+    """
+    a = np.array(value, dtype=float)
+    if a.ndim != ndim:
+        raise ValueError(f"{who}: expected {ndim}-D data, got shape {a.shape}")
+    _require_finite(a, who)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class SkewParams:
     """Free parameters of a skew-symmetric matrix.
@@ -70,9 +84,7 @@ class SkewParams:
     dim: int
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=float)
-        if e.ndim != 1:
-            raise ValueError("SkewParams.entries must be a 1-D vector")
+        e = _frozen(self.entries, "SkewParams.entries", 1)
         if self.dim < 1:
             raise ValueError("SkewParams.dim must be positive")
         expected = self.dim * (self.dim - 1) // 2
@@ -80,8 +92,6 @@ class SkewParams:
             raise ValueError(
                 f"SkewParams: dim {self.dim} needs {expected} entries, got {e.size}"
             )
-        _require_finite(e, "SkewParams")
-        e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
 
@@ -92,12 +102,7 @@ class DiagParams:
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.t, dtype=float)
-        if t.ndim != 1:
-            raise ValueError("DiagParams.t must be a 1-D vector")
-        _require_finite(t, "DiagParams")
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", _frozen(self.t, "DiagParams.t", 1))
 
     @property
     def dim(self) -> int:
@@ -111,9 +116,8 @@ class OrthogonalMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = _frozen(self.values, "OrthogonalMatrix", 2)
         _require_square(v, "OrthogonalMatrix")
-        _require_finite(v, "OrthogonalMatrix")
         n = v.shape[0]
         err = float(np.max(np.abs(v.T @ v - np.eye(n))))
         if err > ORTHOGONALITY_TOL:
@@ -123,7 +127,6 @@ class OrthogonalMatrix:
         det = float(np.linalg.det(v))
         if det <= 0.0:
             raise ValueError(f"OrthogonalMatrix: determinant must be positive, got {det}")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property

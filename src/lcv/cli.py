@@ -27,7 +27,6 @@ from .harness import (
     _split,
     check_window,
     experiment_instances,
-    format_step_record,
     generate,
     perturb,
     report,
@@ -96,11 +95,7 @@ def _synthetic(cfg: dict, seed_override: int | None) -> SyntheticSpec:
         section["seed"] = seed_override
     for key in ("seed", "signal_channels"):
         _integer(section[key], f"synthetic.{key}")
-    mixing = section.pop("mixing")
-    return SyntheticSpec(
-        mixing=None if mixing is None else np.asarray(mixing, dtype=float),
-        **section,
-    )
+    return SyntheticSpec(**section)
 
 
 def _perturb(cfg: dict) -> PerturbSpec:
@@ -151,7 +146,7 @@ def cmd_train(args) -> int:
     save_kernel(f"{out}.lcvk", learned)
     with open(f"{out}.log", "w") as fh:
         for record in records:
-            fh.write(format_step_record(record) + "\n")
+            fh.write(json.dumps(asdict(record)) + "\n")
     print(
         f"train: {records[-1].step} steps, final loss {records[-1].loss:.6f}, "
         f"checkpoint {out}.lcvk"
@@ -198,12 +193,10 @@ def cmd_sweep(args) -> int:
     window = _window(cfg)
     sweep_cfg = cfg["sweep"]
     raw_seeds = sweep_cfg["seeds"]
-    if isinstance(raw_seeds, int):
-        seeds = [spec.seed + i for i in range(raw_seeds)]
-    elif isinstance(raw_seeds, list):
+    if isinstance(raw_seeds, list):
         seeds = [_integer(s, "sweep.seeds") for s in raw_seeds]
     else:
-        raise ValueError("config: sweep.seeds must be an int count or a list of seeds")
+        seeds = [spec.seed + i for i in range(_integer(raw_seeds, "sweep.seeds"))]
     results = run_sweep(
         spec,
         opt,
@@ -273,7 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, TypeError) as err:
+    except (ValueError, OSError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (NumericalError, np.linalg.LinAlgError) as err:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cayley import _frozen
 from .kernel import SPDKernel
 
 _TENSOR_MAGIC = b"LCVT"
@@ -38,13 +39,7 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=float)
-        if d.ndim != 3:
-            raise ValueError(f"FeatureMap: expected 3-D data, got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("FeatureMap: values must be finite")
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
+        object.__setattr__(self, "data", _frozen(self.data, "FeatureMap", 3))
 
     @property
     def channels(self) -> int:
@@ -66,15 +61,10 @@ class CostVolume:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=float)
-        if d.ndim != 4:
-            raise ValueError(f"CostVolume: expected 4-D data, got shape {d.shape}")
+        d = _frozen(self.data, "CostVolume", 4)
         u, v = d.shape[:2]
         if u % 2 == 0 or v % 2 == 0:
             raise ValueError(f"CostVolume: window extents must be odd, got {(u, v)}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("CostVolume: values must be finite")
-        d.setflags(write=False)
         object.__setattr__(self, "data", d)
 
     @property
@@ -89,12 +79,9 @@ class FlowField:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=float)
-        if d.ndim != 3 or d.shape[0] != 2:
+        d = _frozen(self.data, "FlowField", 3)
+        if d.shape[0] != 2:
             raise ValueError(f"FlowField: expected shape (2, h, w), got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("FlowField: values must be finite")
-        d.setflags(write=False)
         object.__setattr__(self, "data", d)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cayley import NumericalError
+from .cayley import NumericalError, _frozen
 from .costvolume import (
     FeatureMap,
     FlowField,
@@ -65,13 +65,10 @@ class SyntheticSpec:
         if self.seed < 0:
             raise ValueError("SyntheticSpec: seed must be nonnegative")
         if self.mixing is not None:
-            m = np.array(self.mixing, dtype=float)
-            c = self.signal_channels + self.noise_channels
+            m = _frozen(self.mixing, "SyntheticSpec.mixing", 2)
+            c = self.channels
             if m.shape != (c, c):
                 raise ValueError(f"SyntheticSpec: mixing must be {(c, c)}, got {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("SyntheticSpec: mixing must be finite")
-            m.setflags(write=False)
             object.__setattr__(self, "mixing", m)
 
     @property
@@ -119,26 +116,12 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One line of the training log."""
+    """One line of the training log, written as a JSON object."""
 
     step: int
     loss: float
     grad_norm: float
     wall_ms: float
-
-
-def format_step_record(r: StepRecord) -> str:
-    return f"step={r.step} loss={r.loss!r} grad_norm={r.grad_norm!r} wall_ms={r.wall_ms!r}"
-
-
-def parse_step_record(line: str) -> StepRecord:
-    fields = dict(part.split("=", 1) for part in line.split())
-    return StepRecord(
-        step=int(fields["step"]),
-        loss=float(fields["loss"]),
-        grad_norm=float(fields["grad_norm"]),
-        wall_ms=float(fields["wall_ms"]),
-    )
 
 
 def generate(spec: SyntheticSpec) -> tuple[FeatureMap, FeatureMap, FlowField]:

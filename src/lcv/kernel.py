@@ -21,6 +21,7 @@ from .cayley import (
     NumericalError,
     OrthogonalMatrix,
     SkewParams,
+    _frozen,
     _require_finite,
     cayley_forward,
     dlambda_dt,
@@ -52,16 +53,12 @@ class SPDKernel:
     def __post_init__(self):
         if self.skew_params.dim != self.P.dim or self.diag_params.dim != self.P.dim:
             raise ValueError("SPDKernel: parameter dimensions disagree with the factors")
-        lam = lambda_from_t(self.diag_params)
-        if not np.all(np.isfinite(lam) & (lam > 0.0)):
-            raise ValueError("SPDKernel: lam must be finite and strictly positive")
+        lam = _frozen(lambda_from_t(self.diag_params), "SPDKernel.lam", 1)
+        if np.any(lam <= 0.0):
+            raise ValueError("SPDKernel: lam must be strictly positive")
         W = self.P.values.T @ (lam[:, None] * self.P.values)
-        W = 0.5 * (W + W.T)
-        _require_finite(W, "SPDKernel")
-        W.setflags(write=False)
-        lam.setflags(write=False)
-        object.__setattr__(self, "W", W)
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "W", _frozen(0.5 * (W + W.T), "SPDKernel.W", 2))
 
     @property
     def dim(self) -> int:
@@ -76,16 +73,8 @@ class KernelGradient:
     d_diag: np.ndarray
 
     def __post_init__(self):
-        ds = np.array(self.d_skew, dtype=float)
-        dd = np.array(self.d_diag, dtype=float)
-        if ds.ndim != 1 or dd.ndim != 1:
-            raise ValueError("KernelGradient components must be 1-D vectors")
-        _require_finite(ds, "KernelGradient.d_skew")
-        _require_finite(dd, "KernelGradient.d_diag")
-        ds.setflags(write=False)
-        dd.setflags(write=False)
-        object.__setattr__(self, "d_skew", ds)
-        object.__setattr__(self, "d_diag", dd)
+        object.__setattr__(self, "d_skew", _frozen(self.d_skew, "KernelGradient.d_skew", 1))
+        object.__setattr__(self, "d_diag", _frozen(self.d_diag, "KernelGradient.d_diag", 1))
 
     def max_norm(self) -> float:
         parts = [np.max(np.abs(self.d_skew)) if self.d_skew.size else 0.0,

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from lcv.cli import DEFAULT_CONFIG, load_config, main
 from lcv.costvolume import read_tensor
-from lcv.harness import parse_step_record
+from lcv.harness import StepRecord
 from lcv.kernel import identity_kernel, load_kernel, save_kernel
 
 
@@ -166,11 +166,25 @@ class TestGenerate:
         missing = str(tmp_path / "nope.json")
         assert main(["generate", "--config", missing, "--out", str(tmp_path / "x")]) == 1
 
+    def test_key_error_is_not_a_user_error(self, tmp_path, monkeypatch):
+        # Every config key is filled from the defaults, so a KeyError is a bug
+        # and must surface as one rather than as exit 1.
+        def broken(spec):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("lcv.cli.generate", broken)
+        with pytest.raises(KeyError):
+            main(["generate", "--out", str(tmp_path / "x")])
+
 
 class TestTrain:
     def test_writes_checkpoints_and_parseable_log(self, tmp_path, tiny_config):
-        prefix = tmp_path / "run" / "ck"
-        assert main(["train", "--config", tiny_config, "--out", str(prefix)]) == 0
+        runs = []
+        for name in ("run", "again"):
+            prefix = tmp_path / name / "ck"
+            assert main(["train", "--config", tiny_config, "--out", str(prefix)]) == 0
+            lines = (tmp_path / name / "ck.log").read_text().splitlines()
+            runs.append([StepRecord(**json.loads(line)) for line in lines])
 
         start = load_kernel(f"{prefix}.step0.lcvk")
         np.testing.assert_array_equal(start.W, np.eye(4))
@@ -178,11 +192,13 @@ class TestTrain:
         learned = load_kernel(f"{prefix}.lcvk")
         assert learned.dim == 4
 
-        lines = (tmp_path / "run" / "ck.log").read_text().splitlines()
-        records = [parse_step_record(line) for line in lines]
+        records = runs[0]
         assert [r.step for r in records] == list(range(len(records)))
         assert len(records) <= 5 + 1
         assert all(np.isfinite(r.loss) for r in records)
+        # Everything but the wall time repeats exactly across runs.
+        assert ([(r.step, r.loss, r.grad_norm) for r in runs[1]]
+                == [(r.step, r.loss, r.grad_norm) for r in records])
 
     def test_deterministic_checkpoint(self, tmp_path, tiny_config):
         p1, p2 = tmp_path / "r1", tmp_path / "r2"
@@ -338,6 +354,18 @@ class TestSweep:
         rows = (out / "results.csv").read_text().splitlines()
         seeds = {row.split(",")[0] for row in rows[1:]}
         assert seeds == {"3", "4"}
+
+    @pytest.mark.parametrize("seeds", [True, 2.5])
+    def test_non_integer_seed_count_exits_1_before_writing(self, tmp_path, tiny_config,
+                                                          capsys, seeds):
+        cfg = json.loads(open(tiny_config).read())
+        cfg["sweep"]["seeds"] = seeds
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "sweep.seeds" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcv.cayley import DiagParams, SkewParams
+from lcv.cayley import DiagParams, OrthogonalMatrix, SkewParams
 from lcv.costvolume import (
     CostVolume,
     FeatureMap,
@@ -29,7 +29,14 @@ from lcv.costvolume import (
     write_tensor,
     wssd,
 )
-from lcv.kernel import assemble_kernel, identity_kernel, whitening_pca, whitening_zca
+from lcv.harness import SyntheticSpec
+from lcv.kernel import (
+    KernelGradient,
+    assemble_kernel,
+    identity_kernel,
+    whitening_pca,
+    whitening_zca,
+)
 
 
 def brute_force_volume(f1, f2, W, u, v):
@@ -295,6 +302,36 @@ class TestMetrics:
             fl_all(a, b)
 
 
+def _gradient_arrays(a):
+    g = KernelGradient(d_skew=a, d_diag=a)
+    return [g.d_skew, g.d_diag]
+
+
+def _kernel_arrays(t):
+    k = assemble_kernel(SkewParams(np.zeros(1), dim=2), DiagParams(t))
+    return [k.W, k.lam]
+
+
+# Every frozen container: a valid input, and the arrays it stores when
+# built from it.  SPDKernel derives W and lam from its factors instead of
+# copying an input, so only their read-only flags are checked.
+CONTAINERS = {
+    "SkewParams": (np.array([0.5, -1.0, 2.0]), lambda a: [SkewParams(a, dim=3).entries]),
+    "DiagParams": (np.array([0.5, -1.0]), lambda a: [DiagParams(a).t]),
+    # A cyclic permutation is orthogonal with determinant +1, even in float32.
+    "OrthogonalMatrix": (np.roll(np.eye(3), 1, axis=0), lambda a: [OrthogonalMatrix(a).values]),
+    "KernelGradient": (np.array([0.5, -1.0]), _gradient_arrays),
+    "SPDKernel": (np.array([0.5, -1.0]), _kernel_arrays),
+    "FeatureMap": (np.random.default_rng(17).standard_normal((2, 3, 3)),
+                   lambda a: [FeatureMap(a).data]),
+    "CostVolume": (np.arange(36.0).reshape(3, 3, 2, 2), lambda a: [CostVolume(a).data]),
+    "FlowField": (np.arange(8.0).reshape(2, 2, 2), lambda a: [FlowField(a).data]),
+    "SyntheticSpec.mixing": (np.array([[1.0, 0.5], [-0.25, 2.0]]),
+                             lambda a: [SyntheticSpec(signal_channels=2, noise_channels=0,
+                                                      mixing=a).mixing]),
+}
+
+
 class TestContainers:
     def test_feature_map_needs_three_axes(self):
         with pytest.raises(ValueError):
@@ -308,20 +345,39 @@ class TestContainers:
         with pytest.raises(ValueError):
             FlowField(np.zeros((3, 4, 4)))
 
-    def test_feature_map_copies_its_data(self):
-        rng = np.random.default_rng(17)
-        writable = rng.standard_normal((2, 3, 3))
-        view = writable[:, :2]
+    @pytest.mark.parametrize("name", list(CONTAINERS))
+    def test_container_copies_its_data(self, name):
+        base, stored = CONTAINERS[name]
+        writable = base.copy()
+        # A read-only strided view, a read-only array that owns its memory,
+        # and copies in another byte order and another precision.
+        view = np.repeat(writable, 2, axis=-1)[..., ::2]
         view.setflags(write=False)
         owned = writable.copy()
         owned.setflags(write=False)
         for data in (writable, view, owned, writable.astype(">f8"), writable.astype(np.float32)):
-            f = FeatureMap(data)
-            assert not np.shares_memory(f.data, data)
-            assert not f.data.flags.writeable
-        before = FeatureMap(writable).data.copy()
+            arrays = stored(data)
+            assert not any(a.flags.writeable for a in arrays)
+            if name == "SPDKernel":
+                continue
+            for a in arrays:
+                assert a.dtype == np.float64
+                assert not np.shares_memory(a, data)
+                np.testing.assert_array_equal(a, data)
+        if name == "SPDKernel":
+            return
+        arrays = stored(writable)
+        before = [a.copy() for a in arrays]
         writable += 1.0
-        assert np.array_equal(FeatureMap(writable).data, before + 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+        for bad_value in (np.nan, np.inf):
+            bad = base.copy()
+            bad.flat[0] = bad_value
+            with pytest.raises(ValueError):
+                stored(bad)
+        for wrong_axes in (base[None], base[0]):
+            with pytest.raises(ValueError):
+                stored(wrong_axes)
 
 
 class TestTensorFiles:

@@ -26,15 +26,12 @@ from lcv.costvolume import (
 from lcv.harness import (
     ExperimentResult,
     PerturbSpec,
-    StepRecord,
     SyntheticSpec,
     _MatchingProblem,
     experiment_instances,
-    format_step_record,
     generate,
     matching_loss,
     matching_loss_grad_w,
-    parse_step_record,
     perturb,
     report,
     run_experiment,
@@ -673,17 +670,6 @@ class TestReport:
         with pytest.raises(ValueError):
             report([], target)
         assert not target.exists()
-
-
-class TestStepRecords:
-    def test_format_parse_round_trip_is_exact(self):
-        r = StepRecord(step=12, loss=0.1 + 0.2, grad_norm=1e-17, wall_ms=3.25)
-        back = parse_step_record(format_step_record(r))
-        assert back == r  # repr floats survive the round trip bitwise
-
-    def test_format_is_single_line_key_value(self):
-        line = format_step_record(StepRecord(step=0, loss=1.0, grad_norm=2.0, wall_ms=3.0))
-        assert line == "step=0 loss=1.0 grad_norm=2.0 wall_ms=3.0"
 
 
 class TestGradCheck:
