@@ -82,27 +82,37 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def _integer(value, key: str) -> int:
-    """``value`` if it is a JSON integer; floats and booleans are refused."""
+def _integer(value, key: str, minimum: int | None = None) -> int:
+    """``value`` if it is a JSON integer of at least ``minimum``; floats and
+    booleans are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"config: {key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"config: {key} must be at least {minimum}, got {value}")
     return value
+
+
+def _instances(cfg: dict) -> int:
+    # The train/eval split needs one instance on each side.
+    return _integer(cfg["instances"], "instances", minimum=2)
 
 
 def _synthetic(cfg: dict, seed_override: int | None) -> SyntheticSpec:
     section = dict(cfg["synthetic"])
     if seed_override is not None:
         section["seed"] = seed_override
-    for key in ("seed", "signal_channels"):
+    for key in ("seed", "height", "width", "signal_channels", "noise_channels", "max_displacement"):
         _integer(section[key], f"synthetic.{key}")
     return SyntheticSpec(**section)
 
 
 def _perturb(cfg: dict) -> PerturbSpec:
+    _integer(cfg["perturb"]["patch_radius"], "perturb.patch_radius")
     return PerturbSpec(**cfg["perturb"])
 
 
 def _optimizer(cfg: dict) -> OptimizerConfig:
+    _integer(cfg["optimizer"]["max_steps"], "optimizer.max_steps")
     return OptimizerConfig(**cfg["optimizer"])
 
 
@@ -135,7 +145,7 @@ def cmd_train(args) -> int:
     spec = _synthetic(cfg, args.seed)
     opt = _optimizer(cfg)
     window = _window(cfg)
-    count = _integer(cfg["instances"], "instances")
+    count = _instances(cfg)
     check_window(window, spec.max_displacement)
     data, _ = experiment_instances(spec, count)
     n_train, _ = _split(count)
@@ -196,7 +206,10 @@ def cmd_sweep(args) -> int:
     if isinstance(raw_seeds, list):
         seeds = [_integer(s, "sweep.seeds") for s in raw_seeds]
     else:
-        seeds = [spec.seed + i for i in range(_integer(raw_seeds, "sweep.seeds"))]
+        seeds = [spec.seed + i for i in range(_integer(raw_seeds, "sweep.seeds", minimum=1))]
+    if not seeds:
+        raise ValueError("config: sweep.seeds must list at least one seed")
+    instances = _instances(cfg)
     results = run_sweep(
         spec,
         opt,
@@ -205,7 +218,7 @@ def cmd_sweep(args) -> int:
         gamma_grid=tuple(sweep_cfg["gamma_grid"]),
         noise_grid=tuple(sweep_cfg["noise_grid"]),
         patch_grid=tuple(sweep_cfg["patch_grid"]),
-        instances=_integer(cfg["instances"], "instances"),
+        instances=instances,
     )
     csv_path, json_path = report(results, args.out)
     print(f"sweep: {len(results)} rows -> {csv_path}, {json_path}")

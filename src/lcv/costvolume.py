@@ -97,43 +97,86 @@ def _check_pair(f1: FeatureMap, f2: FeatureMap, u: int, v: int) -> None:
 # Pixels per row tile of the correlation GEMMs.  Of 4, 8, 16 and 32, 8 was
 # fastest at c=64, 64x64, 9x9 and tied at c=16, 32x32, 5x5.
 _TILE = 8
+# Image rows per batched GEMM.  One chunk's blocks take 590 KB at c=64,
+# 64x64, 9x9, where a whole frame's would take 4.7 MB.
+_CHUNK = 8
 
 
-def _channel_last(f1: np.ndarray, f2: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """``f1`` as ``(h, wt, c)`` and ``f2`` zero-padded as ``(h + u - 1, wt + v - 1, c)``.
+class _Workspace:
+    """Buffers that engine calls write into and keep, one per role.
+
+    A role holds one flat array, grown to the largest size yet asked of
+    it, and hands out its front in the asked shape.  So repeated calls
+    allocate nothing large, and problems of different sizes can share one
+    workspace.  What a buffer holds lasts only until its role's next use.
+    """
+
+    def __init__(self):
+        self._flat: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def __call__(self, role: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        key, n = (role, np.dtype(dtype)), math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < n:
+            flat = self._flat[key] = np.empty(n, dtype)
+        return flat[:n].reshape(shape)
+
+
+class _Strips:
+    """A second frame cut for the tiled GEMMs, with the workspace they write.
+
+    ``data`` ``(nt, h + u - 1, _TILE + v - 1, c)`` holds the frame, zero-padded
+    by ``(u - 1) / 2`` rows and ``(v - 1) / 2`` columns on each side, as one
+    overlapping column strip per row tile: ``data[t, i + k, x + l]`` is the
+    target of pixel ``(i, t * _TILE + x)`` under window cell ``(k, l)``.
+    """
+
+    def __init__(self, f2: np.ndarray, u: int, v: int, nt: int, workspace: _Workspace):
+        c, h, w = f2.shape
+        ru, rv = (u - 1) // 2, (v - 1) // 2
+        sw = _TILE + v - 1
+        self.data = np.zeros((nt, h + u - 1, sw, c))
+        for t in range(nt):
+            lo = t * _TILE - rv  # frame column at strip column 0
+            j0, j1 = max(0, -lo), min(sw, w - lo)
+            self.data[t, ru : ru + h, j0:j1] = f2[:, :, lo + j0 : lo + j1].transpose(1, 2, 0)
+        self.u, self.v, self.h, self.w = u, v, h, w
+        self.workspace = workspace
+
+    def targets(self) -> np.ndarray:
+        """Read-only view ``(nt, h, u * (_TILE + v - 1), c)`` whose ``[t, i]`` holds
+        strip ``t``'s rows ``i`` to ``i + u - 1`` end to end: every target of
+        row tile ``(i, t)``, under cell ``(k, l)`` for pixel ``x`` at
+        ``k * (_TILE + v - 1) + x + l``."""
+        nt, _, sw, c = self.data.shape
+        st, sr, sj, sc = self.data.strides
+        return np.lib.stride_tricks.as_strided(
+            self.data, (nt, self.h, self.u * sw, c), (st, sr, sj, sc), writeable=False)
+
+
+def _channel_last(f1: np.ndarray, f2: np.ndarray, u: int, v: int,
+                  workspace: _Workspace | None = None) -> tuple[np.ndarray, _Strips]:
+    """``f1`` as ``(h, wt, c)``, and ``f2`` as :class:`_Strips` that write into
+    ``workspace`` (a fresh one when None).
 
     ``wt`` is ``w`` rounded up to whole tiles of ``_TILE`` pixels, at least
-    one tile; the columns of ``f1`` past ``w`` are zero.  Padded pixel ``(i + k, j + l)``
-    of the second frame is the target of pixel ``(i, j)`` under window
-    cell ``(k, l)``.
+    one tile; the columns of ``f1`` past ``w`` are zero.
     """
     c, h, w = f1.shape
-    wt = max(1, -(-w // _TILE)) * _TILE
-    ru, rv = (u - 1) // 2, (v - 1) // 2
-    a = np.zeros((h, wt, c))
+    nt = max(1, -(-w // _TILE))
+    a = np.zeros((h, nt * _TILE, c))
     a[:, :w] = f1.transpose(1, 2, 0)
-    b = np.zeros((h + u - 1, wt + v - 1, c))
-    b[ru : ru + h, rv : rv + w] = f2.transpose(1, 2, 0)
-    return a, b
+    return a, _Strips(f2, u, v, nt, _Workspace() if workspace is None else workspace)
 
 
-def _windows(f2p: np.ndarray, u: int, v: int) -> np.ndarray:
-    """Read-only view ``(u, h, nt, _TILE + v - 1, c)`` of a padded second frame:
-    entry ``[k, i, t, j]`` is padded pixel ``(i + k, t * _TILE + j)``, so
-    ``[k, i, t]`` holds every target of row tile ``(i, t)`` at row offset ``k``."""
-    rows, cols, c = f2p.shape
-    sr, sc, sb = f2p.strides
-    shape = (u, rows - u + 1, (cols - v + 1) // _TILE, _TILE + v - 1, c)
+def _bands(blocks: np.ndarray, u: int, v: int) -> np.ndarray:
+    """View ``(u, v, rows, nt, _TILE)`` of ``blocks`` ``(nt, rows, _TILE, u * (_TILE + v - 1))``
+    whose entry ``[k, l, i, t, x]`` is ``blocks[t, i, x, k * (_TILE + v - 1) + x + l]``:
+    pixel ``x`` of row tile ``(i, t)`` under window cell ``(k, l)``."""
+    st, si, sx, sj = blocks.strides
     return np.lib.stride_tricks.as_strided(
-        f2p, shape, (sr, sr, _TILE * sc, sc, sb), writeable=False)
-
-
-def _band(a: np.ndarray, v: int) -> np.ndarray:
-    """View ``(v, ..., _TILE)`` of ``a`` ``(..., _TILE, _TILE + v - 1)`` whose entry
-    ``[l, ..., x]`` is ``a[..., x, x + l]``: pixel ``x`` of a tile at column offset ``l``."""
-    *lead, step_x, step_j = a.strides
-    return np.lib.stride_tricks.as_strided(
-        a, (v, *a.shape[:-1]), (step_j, *lead, step_x + step_j))
+        blocks, (u, v, blocks.shape[1], blocks.shape[0], _TILE),
+        ((_TILE + v - 1) * sj, sj, si, st, sx + sj))
 
 
 def _tiles(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,52 +193,56 @@ def _tiled_pixels(t: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     return t[..., : w // _TILE, :], t[..., -1, : w % _TILE]
 
 
-def _window_costs(f1t: np.ndarray, f2p: np.ndarray, W: np.ndarray | None,
-                  u: int, v: int, w: int) -> np.ndarray:
-    """Costs ``(u * v, h, w)`` of :func:`_channel_last` frames under ``W``.
+def _window_costs(f1t: np.ndarray, f2: _Strips, W: np.ndarray | None, out: np.ndarray | None = None):
+    """Costs of :func:`_channel_last` frames under ``W``, ``_CHUNK`` image rows at a time.
 
-    ``W`` goes onto the first frame (``f1^T W``, one GEMM), which leaves
-    the padded second frame the same for every kernel.  Per row offset,
-    one batched product of every row tile with its window gives an
-    ``(_TILE, _TILE + v - 1)`` block per tile whose bands are the costs.
-    One block buffer serves every offset: a buffer for all of them at
-    once (4.7 MB at c=64, 64x64, 9x9) page-faults afresh on every call.
+    Yields ``(i0, i1, costs)``, ``costs`` ``(u * v, i1 - i0, w)`` being rows
+    ``i0:i1`` of ``out`` ``(u * v, h, w)`` when given, else one workspace
+    buffer that every chunk overwrites.  ``W`` goes onto the first frame
+    (``f1^T W``, one GEMM over the whole frame), which leaves the strips
+    the same for every kernel.  Per chunk, one batched product of every
+    row tile with its targets gives an ``(_TILE, u * (_TILE + v - 1))``
+    block per tile whose bands are the costs of all window cells.
     """
     h, wt, c = f1t.shape
+    u, v, w, ws = f2.u, f2.v, f2.w, f2.workspace
     if W is not None:
-        f1t = (f1t.reshape(h * wt, c) @ W).reshape(f1t.shape)
-    tiles = f1t.reshape(h, wt // _TILE, _TILE, c)
-    windows = _windows(f2p, u, v).swapaxes(-1, -2)
-    blocks = np.empty((h, wt // _TILE, _TILE, _TILE + v - 1))
-    band = _tiled_pixels(_band(blocks, v), w)
-    out = np.empty((u, v, h, w))
-    for k in range(u):
-        whole, rest = _tiles(out[k])
-        np.matmul(tiles, windows[k], out=blocks)
-        whole[...], rest[...] = band
-    return out.reshape(u * v, h, w)
+        f1t = np.matmul(f1t.reshape(h * wt, c), W, out=ws("frame", (h * wt, c))).reshape(h, wt, c)
+    nt = wt // _TILE
+    tiles = f1t.reshape(h, nt, _TILE, c).swapaxes(0, 1)
+    targets = f2.targets().swapaxes(-1, -2)
+    for i0 in range(0, h, _CHUNK):
+        i1 = min(i0 + _CHUNK, h)
+        blocks = np.matmul(tiles[:, i0:i1], targets[:, i0:i1],
+                           out=ws("blocks", (nt, i1 - i0, _TILE, targets.shape[-1])))
+        costs = ws("costs", (u * v, i1 - i0, w)) if out is None else out[:, i0:i1]
+        whole, rest = _tiles(costs.reshape(u, v, i1 - i0, w))
+        whole[...], rest[...] = _tiled_pixels(_bands(blocks, u, v), w)
+        yield i0, i1, costs
 
 
-def _window_targets(f2p: np.ndarray, dC: np.ndarray) -> np.ndarray:
+def _window_targets(f2: _Strips, dC: np.ndarray) -> np.ndarray:
     """``B`` ``(h * w, c)``: per pixel, the ``dC``-weighted sum of its targets
-    in a :func:`_channel_last` padded second frame, over every window cell.
+    in the strips, over every window cell.
 
-    This is the adjoint of :func:`_window_costs` in the second frame.  For
-    each row offset ``k``, ``dC[k]`` ``(v, h, w)`` fills the bands of one
-    ``(_TILE, _TILE + v - 1)`` block per row tile, and one batched product
-    with that offset's windows adds its cells.
+    This is the adjoint of :func:`_window_costs` in the second frame.  Per
+    chunk of rows, ``dC`` fills the bands of one zeroed block per row tile,
+    and one batched product with the tiles' targets sums all cells.  ``B``
+    goes into the workspace buffer of ``f1^T W``, which is dead by now.
     """
     u, v, h, w = dC.shape
-    windows = _windows(f2p, u, v)
-    nt, c = windows.shape[2], windows.shape[4]
-    blocks = np.zeros((h, nt, _TILE, _TILE + v - 1))
-    whole, rest = _tiled_pixels(_band(blocks, v), w)
-    B = np.zeros((h, nt, _TILE, c))
-    step = np.empty_like(B)
-    for k in range(u):
-        whole[...], rest[...] = _tiles(dC[k])
-        B += np.matmul(blocks, windows[k], out=step)
-    return B.reshape(h, nt * _TILE, c)[:, :w].reshape(h * w, c)
+    nt, _, sw, c = f2.data.shape
+    targets = f2.targets()
+    B = f2.workspace("frame", (h, nt * _TILE, c))
+    tiles = B.reshape(h, nt, _TILE, c).swapaxes(0, 1)
+    for i0 in range(0, h, _CHUNK):
+        i1 = min(i0 + _CHUNK, h)
+        blocks = f2.workspace("blocks", (nt, i1 - i0, _TILE, u * sw))
+        blocks.fill(0.0)
+        whole, rest = _tiled_pixels(_bands(blocks, u, v), w)
+        whole[...], rest[...] = _tiles(dC[:, :, i0:i1])
+        np.matmul(blocks, targets[:, i0:i1], out=tiles[:, i0:i1])
+    return B[:, :w].reshape(h * w, c)
 
 
 def _correlate(f1: np.ndarray, f2: np.ndarray, W: np.ndarray | None, u: int, v: int) -> np.ndarray:
@@ -204,7 +251,11 @@ def _correlate(f1: np.ndarray, f2: np.ndarray, W: np.ndarray | None, u: int, v: 
 
     The reduction order is fixed, so repeated runs are bitwise identical.
     """
-    return _window_costs(*_channel_last(f1, f2, u, v), W, u, v, f1.shape[2])
+    _, h, w = f1.shape
+    out = np.empty((u * v, h, w))
+    for _ in _window_costs(*_channel_last(f1, f2, u, v), W, out):
+        pass
+    return out
 
 
 def cost_volume_bilinear(f1: FeatureMap, f2: FeatureMap, W: np.ndarray, u: int, v: int) -> CostVolume:
@@ -260,16 +311,29 @@ def _cells_by_magnitude(u: int, v: int) -> np.ndarray:
     return np.argsort((dk[:, None] ** 2 + dl[None, :] ** 2).reshape(-1), kind="stable")
 
 
-def _winners(costs: np.ndarray, best: np.ndarray, order: np.ndarray, v: int) -> FlowField:
-    """Flow of the first cell in ``order`` whose cost reaches the pixel's ``best``.
+def _winners(costs: np.ndarray, best: np.ndarray, order: np.ndarray,
+             workspace: _Workspace) -> np.ndarray:
+    """Per pixel, the first cell in ``order`` whose cost reaches the pixel's ``best``.
 
-    ``costs`` is ``(u * v, h, w)`` in row-major window order and ``best``
-    its maximum over the cells.
+    ``costs`` is ``(u * v, rows, w)`` in row-major window order and ``best``
+    its maximum over the cells; cells come back as row-major indices.
+    Each cell gets a code, ``n`` for the first in ``order`` down to 1 for
+    the last, so the winner has the largest code among the cells that
+    reach ``best``: one maximum over the cells, with no axis moved.  The
+    codes per cost go into ``workspace``.
     """
-    u = costs.shape[0] // v
-    idx = order[(costs == best)[order].argmax(axis=0)]
-    flow_v = idx // v - (u - 1) // 2
-    flow_h = idx % v - (v - 1) // 2
+    n = len(order)
+    code = np.empty(n, dtype=np.min_scalar_type(n))
+    code[order] = np.arange(n, 0, -1)
+    hits = np.equal(costs, best, out=workspace("hits", costs.shape, code.dtype))
+    np.multiply(hits, code[:, None, None], out=hits)
+    return order[n - hits.max(axis=0)]
+
+
+def _cell_flow(cells: np.ndarray, u: int, v: int) -> FlowField:
+    """Flow of the row-major window cells ``cells`` ``(h, w)``."""
+    flow_v = cells // v - (u - 1) // 2
+    flow_h = cells % v - (v - 1) // 2
     return FlowField(np.stack([flow_h.astype(float), flow_v.astype(float)]))
 
 
@@ -281,7 +345,8 @@ def decode_flow_argmax(cv: CostVolume) -> FlowField:
     """
     u, v, h, w = cv.data.shape
     flat = cv.data.reshape(u * v, h, w)
-    return _winners(flat, flat.max(axis=0), _cells_by_magnitude(u, v), v)
+    cells = _winners(flat, flat.max(axis=0), _cells_by_magnitude(u, v), _Workspace())
+    return _cell_flow(cells, u, v)
 
 
 def epe(pred: FlowField, gt: FlowField) -> float:

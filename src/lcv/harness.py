@@ -27,12 +27,15 @@ from .cayley import NumericalError, _frozen
 from .costvolume import (
     FeatureMap,
     FlowField,
+    _cell_flow,
     _cells_by_magnitude,
     _channel_last,
     _check_pair,
+    _Strips,
     _window_costs,
     _window_targets,
     _winners,
+    _Workspace,
     cost_volume_bilinear,
     epe,
     fl_all,
@@ -256,12 +259,12 @@ def matching_loss(cv, gt: FlowField) -> tuple[float, np.ndarray]:
     return loss, Z.reshape(u, v, h, w)
 
 
-def _grad_w_from_costs(f1: np.ndarray, f2: np.ndarray, dC: np.ndarray) -> np.ndarray:
+def _grad_w_from_costs(f1: np.ndarray, f2: _Strips, dC: np.ndarray) -> np.ndarray:
     """Chain a cost-volume gradient ``dC`` ``(u, v, h, w)`` back to the kernel matrix.
 
     ``dL/dW[a, b] = sum_klij dC[k,l,i,j] f1[a,i,j] f2[b, i+k-ru, j+l-rv]``
-    with zero padding outside the second frame, which comes padded and
-    channel-last from :func:`_channel_last`.  The inner sum over cells is
+    with zero padding outside the second frame, which comes as the
+    strips of :func:`_channel_last`.  The inner sum over cells is
     :func:`_window_targets`, then one GEMM with ``f1``.
     """
     c, h, w = f1.shape
@@ -272,37 +275,48 @@ class _MatchingProblem:
     """One pair ``(f1, f2, gt)`` under a ``u x v`` window, scored for many kernels.
 
     What does not depend on ``W`` is prepared once: the window cells in
-    decoding order, the channel-last frames of :func:`_channel_last` (the
-    kernel goes onto the first, so the padded second frame serves every
-    forward and backward) and, at the first gradient, the labels.
-    ``loss_grad`` runs the forward once and takes the decode, the loss and
-    the gradient from that one cost tensor.
+    decoding order, the frames of :func:`_channel_last` (the kernel goes
+    onto the first, so the second frame's strips serve every forward and
+    backward) and, at the first gradient, the labels.  The buffers the
+    engine writes stay in ``workspace``, which problems may share.
+    ``loss_grad`` runs the forward once and takes the decode, the loss
+    and the gradient from that one cost tensor; ``decode`` consumes the
+    costs a chunk of rows at a time and never holds them all.
     """
 
-    def __init__(self, f1: FeatureMap, f2: FeatureMap, gt: FlowField, window: tuple[int, int]):
+    def __init__(self, f1: FeatureMap, f2: FeatureMap, gt: FlowField, window: tuple[int, int],
+                 workspace: _Workspace | None = None):
         u, v = window
         _check_pair(f1, f2, u, v)
         self.f1, self.gt = f1.data, gt
         self.u, self.v = u, v
         self.order = _cells_by_magnitude(u, v)
-        self._f1_tiled, self._f2_padded = _channel_last(f1.data, f2.data, u, v)
+        self._f1_tiled, self._f2 = _channel_last(f1.data, f2.data, u, v, workspace)
         self._labels = None
 
-    def _costs(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Costs ``(u * v, h, w)`` under ``W`` and their per-pixel maximum."""
-        c, _, w = self.f1.shape
+    def _cells(self, costs: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """Decoded cells of ``costs`` ``(u * v, rows, w)``, whose per-pixel
+        maximum goes into ``best``."""
+        np.max(costs, axis=0, out=best)
+        if not (np.isfinite(costs.min()) and np.isfinite(best.max())):
+            raise NumericalError("matching: the costs under this kernel are not finite")
+        return _winners(costs, best, self.order, self._f2.workspace)
+
+    def _costs(self, W: np.ndarray, out: np.ndarray | None = None):
+        """The chunks of :func:`_window_costs` under ``W``."""
+        c = self.f1.shape[0]
         if W.shape != (c, c):
             raise ValueError(f"matching: W shape {W.shape}, expected {(c, c)}")
-        Z = _window_costs(self._f1_tiled, self._f2_padded, W, self.u, self.v, w)
-        best = Z.max(axis=0)
-        if not (np.isfinite(Z.min()) and np.isfinite(best.max())):
-            raise NumericalError("matching: the costs under this kernel are not finite")
-        return Z, best
+        return _window_costs(self._f1_tiled, self._f2, W, out)
 
     def decode(self, W: np.ndarray) -> FlowField:
         """Winner-take-all flow under ``W``, as :func:`decode_flow_argmax`."""
-        Z, best = self._costs(W)
-        return _winners(Z, best, self.order, self.v)
+        _, h, w = self.f1.shape
+        cells = np.empty((h, w), dtype=np.intp)
+        best = np.empty((h, w))
+        for i0, i1, costs in self._costs(W):
+            cells[i0:i1] = self._cells(costs, best[i0:i1])
+        return _cell_flow(cells, self.u, self.v)
 
     def loss_grad(self, W: np.ndarray) -> tuple[float, np.ndarray, float]:
         """Mean matching loss, its gradient on ``W`` and the AEPE of the decode."""
@@ -310,10 +324,13 @@ class _MatchingProblem:
         _, h, w = self.f1.shape
         if self._labels is None:
             self._labels = _labels(self.gt, u, v)
-        Z, best = self._costs(W)
-        aepe = epe(_winners(Z, best, self.order, v), self.gt)
+        Z = self._f2.workspace("costs", (u * v, h, w))
+        for _ in self._costs(W, Z):
+            pass
+        best = np.empty((h, w))
+        aepe = epe(_cell_flow(self._cells(Z, best), u, v), self.gt)
         loss = _softmax_xent(Z, best, self._labels)
-        return loss, _grad_w_from_costs(self.f1, self._f2_padded, Z.reshape(u, v, h, w)), aepe
+        return loss, _grad_w_from_costs(self.f1, self._f2, Z.reshape(u, v, h, w)), aepe
 
 
 def matching_loss_grad_w(
@@ -340,7 +357,9 @@ def train_kernel(
     """
     if not instances:
         raise ValueError("train_kernel: need at least one instance")
-    problems = [_MatchingProblem(f1, f2, gt, window) for f1, f2, gt in instances]
+    # One workspace serves every problem: they run one at a time.
+    workspace = _Workspace()
+    problems = [_MatchingProblem(f1, f2, gt, window, workspace) for f1, f2, gt in instances]
     c = instances[0][0].channels
     kernel = identity_kernel(c)
     records: list[StepRecord] = []

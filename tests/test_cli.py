@@ -224,6 +224,31 @@ class TestTrain:
         assert "instances must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "ck.step0.lcvk").exists()
 
+    @pytest.mark.parametrize("count", [-3, 0, 1])
+    def test_too_few_instances_exits_1_before_writing(self, tmp_path, capsys, count):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"instances": count}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "ck")]) == 1
+        assert "config: instances must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "ck.step0.lcvk").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("optimizer", "max_steps", 2.5),
+        ("synthetic", "height", 12.0),
+        ("synthetic", "width", 12.0),
+        ("synthetic", "noise_channels", 2.0),
+        ("synthetic", "max_displacement", 1.0),
+    ])
+    def test_fractional_count_exits_1_before_writing(self, tmp_path, tiny_config, capsys,
+                                                     section, key, value):
+        cfg = json.loads(Path(tiny_config).read_text())
+        cfg[section][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "ck")]) == 1
+        assert f"config: {section}.{key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "ck.step0.lcvk").exists()
+
     def test_numerical_blow_up_exits_2(self, tmp_path, tiny_config, capsys):
         cfg = json.loads(Path(tiny_config).read_text())
         cfg["optimizer"]["learning_rate"] = 1e30
@@ -265,6 +290,20 @@ class TestEval:
         assert rc == 0
         metrics = json.loads(out.read_text())
         assert metrics["aepe"] == metrics["aepe_identity"]
+
+    def test_fractional_patch_radius_exits_1_before_writing(self, tmp_path, tiny_config, capsys):
+        data = tmp_path / "data"
+        main(["generate", "--config", tiny_config, "--out", str(data)])
+        save_kernel(tmp_path / "k.lcvk", identity_kernel(4))
+        cfg = json.loads(Path(tiny_config).read_text())
+        cfg["perturb"]["patch_radius"] = 1.0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "m.json"
+        assert main(["eval", "--checkpoint", str(tmp_path / "k.lcvk"), "--data", str(data),
+                     "--out", str(out), "--config", str(path)]) == 1
+        assert "config: perturb.patch_radius must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_checkpoint_exits_1(self, tmp_path, tiny_config):
         data = tmp_path / "data"
@@ -365,6 +404,28 @@ class TestSweep:
         out = tmp_path / "s"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
         assert "sweep.seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", [0, -1, []], ids=["0", "-1", "empty"])
+    def test_no_seeds_exits_1_before_writing(self, tmp_path, tiny_config, capsys, seeds):
+        cfg = json.loads(open(tiny_config).read())
+        cfg["sweep"]["seeds"] = seeds
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "config: sweep.seeds must" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [-3, 0, 1])
+    def test_too_few_instances_exits_1_before_writing(self, tmp_path, tiny_config, capsys, count):
+        cfg = json.loads(open(tiny_config).read())
+        cfg["instances"] = count
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "config: instances must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -8,6 +8,8 @@ broken implementation.
 
 import csv
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +65,6 @@ class TestGenerate:
         np.testing.assert_array_equal(af.data, bf.data)
 
     def test_different_seeds_differ(self):
-        from dataclasses import replace
         a = generate(TINY)[0].data
         b = generate(replace(TINY, seed=4))[0].data
         assert not np.array_equal(a, b)
@@ -105,7 +106,6 @@ class TestGenerate:
         rng = np.random.default_rng(31)
         c = TINY.channels
         M = rng.standard_normal((c, c))
-        from dataclasses import replace
         plain1, plain2, pf = generate(TINY)
         mixed1, mixed2, mf = generate(replace(TINY, mixing=M))
         np.testing.assert_allclose(
@@ -353,12 +353,13 @@ GRAD_RTOL = 1e-12
 def matching_cases(draw, integer):
     """Small pairs with odd, possibly unequal window sides and integer flow
     anywhere in the window, border included.  Widths run past two tiles
-    of the correlation, with whole tiles and partial ones.  ``integer``
-    draws integer features and an integer ``W``, which make every sum
-    exact and exact cost ties common; otherwise both are real.  ``W`` is
-    not symmetric, so applying ``W^T`` for ``W`` shows."""
+    of the correlation, with whole tiles and partial ones, and heights
+    past two of its row chunks, with whole chunks and partial ones.
+    ``integer`` draws integer features and an integer ``W``, which make
+    every sum exact and exact cost ties common; otherwise both are real.
+    ``W`` is not symmetric, so applying ``W^T`` for ``W`` shows."""
     c = draw(st.integers(1, 4))
-    h = draw(st.integers(1, 6))
+    h = draw(st.integers(1, 19) | st.sampled_from([8, 9, 16, 17]))
     w = draw(st.integers(1, 17) | st.sampled_from([8, 16]))
     u = draw(st.sampled_from([1, 3, 5]))
     v = draw(st.sampled_from([1, 3, 5]))
@@ -446,6 +447,26 @@ class TestMatchingEngine:
         with pytest.raises(ValueError, match="W shape"):
             problem.decode(np.eye(3))
 
+    @pytest.mark.parametrize("method", ["loss_grad", "decode"])
+    def test_repeated_calls_allocate_less_than_half_a_cost_tensor(self, method):
+        # The engine keeps the buffers it writes, so once warm a call makes
+        # only per-pixel arrays and chunk-sized scratch.  40 rows are five
+        # chunks, and 36 columns end in a partial tile.
+        c, h, w, u, v = 8, 40, 36, 9, 9
+        rng = np.random.default_rng(5)
+        f1, f2 = (FeatureMap(rng.standard_normal((c, h, w))) for _ in range(2))
+        problem = _MatchingProblem(f1, f2, FlowField(np.zeros((2, h, w))), (u, v))
+        call = getattr(problem, method)
+        W = np.eye(c) + 0.1 * rng.standard_normal((c, c))
+        call(W)
+        tracemalloc.start()
+        try:
+            call(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (8 * u * v * h * w)
+
     @staticmethod
     def _finite_difference_gate(seed, c, h, w, u, v):
         rng = np.random.default_rng(seed)
@@ -505,6 +526,19 @@ class TestTraining:
     def test_matches_reference_loop(self, mode):
         opt = OptimizerConfig(learning_rate=0.05, max_steps=12, grad_tolerance=1e-9, mode=mode)
         data, _ = experiment_instances(TINY, 2)
+        kernel, records = train_kernel(data, opt, (3, 3))
+        ref_kernel, ref_records = reference_train(data, opt, (3, 3))
+        assert np.array_equal(kernel.W, ref_kernel.W)
+        assert [(r.step, r.loss, r.grad_norm) for r in records] == ref_records
+
+    @pytest.mark.parametrize("mode", ["cayley", "stiefel"])
+    def test_instances_of_different_sizes_match_reference_loop(self, mode):
+        # Every problem of a run writes into one workspace.  Here it serves a
+        # 3x5 frame, then a 17x9 one and a 9x19 one: its buffers must grow,
+        # and what one geometry left in them must not leak into another.
+        opt = OptimizerConfig(learning_rate=0.05, max_steps=6, grad_tolerance=1e-9, mode=mode)
+        data = [generate(replace(TINY, height=h, width=w, seed=seed))
+                for h, w, seed in ((3, 5, 3), (17, 9, 1), (9, 19, 2))]
         kernel, records = train_kernel(data, opt, (3, 3))
         ref_kernel, ref_records = reference_train(data, opt, (3, 3))
         assert np.array_equal(kernel.W, ref_kernel.W)
@@ -595,7 +629,6 @@ class TestSweep:
             instances=3,
         )
         assert len(results) == 3
-        from dataclasses import replace
         for r in results:
             direct = run_experiment(replace(TINY, seed=3), r.perturb, FAST_OPT,
                                     (3, 3), instances=3)
