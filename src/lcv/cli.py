@@ -53,6 +53,30 @@ DEFAULT_CONFIG = {
 }
 
 
+# Leaves that take more JSON types than their default shows.
+_ALTERNATIVES = {"synthetic.mixing": (None, [[0.0]]), "sweep.seeds": (0, [0])}
+# The JSON types of the defaults, in words.
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", type(None): "null"}
+
+
+def _check_type(value, bases, key: str) -> None:
+    """Refuse ``value`` unless it has the JSON type of one of the defaults
+    ``bases``: an integer where one is an integer, any number in a float's
+    range where one is a float (a boolean is neither), a string or null
+    where one is that, and a list whose items pass against that default's
+    items where one is a list."""
+    for base in bases:
+        if isinstance(base, list) and isinstance(value, list):
+            for item in value:
+                _check_type(item, base, key)
+            return
+        if type(value) is type(base) or (
+                (type(base), type(value)) == (float, int) and abs(value) <= sys.float_info.max):
+            return
+    kinds = " or ".join(dict.fromkeys(_KINDS[type(base)] for base in bases))
+    raise ValueError(f"config: {key} must be {kinds}, got {value!r}")
+
+
 def _merge(defaults, user, crumb=""):
     if not isinstance(user, dict):
         raise ValueError(f"config: expected an object at {crumb or 'top level'}")
@@ -61,6 +85,8 @@ def _merge(defaults, user, crumb=""):
         if key in user and isinstance(base, dict) and base:
             out[key] = _merge(base, user[key], f"{crumb}{key}.")
         elif key in user:
+            path = crumb + key
+            _check_type(user[key], _ALTERNATIVES.get(path, (base,)), path)
             out[key] = user[key]
         else:
             out[key] = base
@@ -82,45 +108,25 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def _integer(value, key: str, minimum: int | None = None) -> int:
-    """``value`` if it is a JSON integer of at least ``minimum``; floats and
-    booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config: {key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"config: {key} must be at least {minimum}, got {value}")
-    return value
-
-
 def _instances(cfg: dict) -> int:
     # The train/eval split needs one instance on each side.
-    return _integer(cfg["instances"], "instances", minimum=2)
+    if cfg["instances"] < 2:
+        raise ValueError(f"config: instances must be at least 2, got {cfg['instances']}")
+    return cfg["instances"]
 
 
 def _synthetic(cfg: dict, seed_override: int | None) -> SyntheticSpec:
     section = dict(cfg["synthetic"])
     if seed_override is not None:
         section["seed"] = seed_override
-    for key in ("seed", "height", "width", "signal_channels", "noise_channels", "max_displacement"):
-        _integer(section[key], f"synthetic.{key}")
     return SyntheticSpec(**section)
-
-
-def _perturb(cfg: dict) -> PerturbSpec:
-    _integer(cfg["perturb"]["patch_radius"], "perturb.patch_radius")
-    return PerturbSpec(**cfg["perturb"])
-
-
-def _optimizer(cfg: dict) -> OptimizerConfig:
-    _integer(cfg["optimizer"]["max_steps"], "optimizer.max_steps")
-    return OptimizerConfig(**cfg["optimizer"])
 
 
 def _window(cfg: dict) -> tuple[int, int]:
     window = cfg["window"]
-    if not (isinstance(window, (list, tuple)) and len(window) == 2):
+    if len(window) != 2:
         raise ValueError(f"config: window must be a pair, got {window!r}")
-    return _integer(window[0], "window"), _integer(window[1], "window")
+    return tuple(window)
 
 
 def cmd_generate(args) -> int:
@@ -143,7 +149,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     spec = _synthetic(cfg, args.seed)
-    opt = _optimizer(cfg)
+    opt = OptimizerConfig(**cfg["optimizer"])
     window = _window(cfg)
     count = _instances(cfg)
     check_window(window, spec.max_displacement)
@@ -174,7 +180,7 @@ def cmd_eval(args) -> int:
     else:
         cfg = load_config(None)
     window = _window(cfg)
-    p = _perturb(cfg)
+    p = PerturbSpec(**cfg["perturb"])
     spec = _synthetic(cfg, args.seed)
 
     kernel = load_kernel(args.checkpoint)
@@ -199,16 +205,17 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     spec = _synthetic(cfg, args.seed)
-    opt = _optimizer(cfg)
+    opt = OptimizerConfig(**cfg["optimizer"])
     window = _window(cfg)
     sweep_cfg = cfg["sweep"]
-    raw_seeds = sweep_cfg["seeds"]
-    if isinstance(raw_seeds, list):
-        seeds = [_integer(s, "sweep.seeds") for s in raw_seeds]
-    else:
-        seeds = [spec.seed + i for i in range(_integer(raw_seeds, "sweep.seeds", minimum=1))]
+    seeds = sweep_cfg["seeds"]
+    if not isinstance(seeds, list):
+        seeds = [spec.seed + i for i in range(seeds)]
     if not seeds:
-        raise ValueError("config: sweep.seeds must list at least one seed")
+        raise ValueError(f"config: sweep.seeds must name at least one seed, got {sweep_cfg['seeds']!r}")
+    grids = ("gamma_grid", "noise_grid", "patch_grid")
+    if not any(sweep_cfg[g] for g in grids):
+        raise ValueError(f"config: sweep.{', sweep.'.join(grids)} are all empty")
     instances = _instances(cfg)
     results = run_sweep(
         spec,
@@ -279,7 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, TypeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (NumericalError, np.linalg.LinAlgError) as err:

@@ -67,10 +67,6 @@ class CostVolume:
             raise ValueError(f"CostVolume: window extents must be odd, got {(u, v)}")
         object.__setattr__(self, "data", d)
 
-    @property
-    def window(self) -> tuple[int, int]:
-        return self.data.shape[0], self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class FlowField:
@@ -122,51 +118,43 @@ class _Workspace:
         return flat[:n].reshape(shape)
 
 
-class _Strips:
-    """A second frame cut for the tiled GEMMs, with the workspace they write.
+class _Frames:
+    """A pair of frames cut for the tiled GEMMs, with the workspace they write.
 
-    ``data`` ``(nt, h + u - 1, _TILE + v - 1, c)`` holds the frame, zero-padded
-    by ``(u - 1) / 2`` rows and ``(v - 1) / 2`` columns on each side, as one
-    overlapping column strip per row tile: ``data[t, i + k, x + l]`` is the
-    target of pixel ``(i, t * _TILE + x)`` under window cell ``(k, l)``.
+    ``f1t`` ``(h, wt, c)`` is the first frame channel-last, ``wt`` being ``w``
+    rounded up to whole tiles of ``_TILE`` pixels (at least one); its
+    columns past ``w`` are zero.  ``strips`` ``(nt, h + u - 1, _TILE + v - 1, c)``
+    holds the second frame, zero-padded by ``(u - 1) / 2`` rows and
+    ``(v - 1) / 2`` columns on each side, as one overlapping column strip
+    per row tile: ``strips[t, i + k, x + l]`` is the target of pixel
+    ``(i, t * _TILE + x)`` under window cell ``(k, l)``.  ``workspace`` is
+    a fresh one when None.
     """
 
-    def __init__(self, f2: np.ndarray, u: int, v: int, nt: int, workspace: _Workspace):
-        c, h, w = f2.shape
+    def __init__(self, f1: np.ndarray, f2: np.ndarray, u: int, v: int,
+                 workspace: _Workspace | None = None):
+        c, h, w = f1.shape
+        nt = max(1, -(-w // _TILE))
+        self.f1t = np.zeros((h, nt * _TILE, c))
+        self.f1t[:, :w] = f1.transpose(1, 2, 0)
         ru, rv = (u - 1) // 2, (v - 1) // 2
         sw = _TILE + v - 1
-        self.data = np.zeros((nt, h + u - 1, sw, c))
+        self.strips = np.zeros((nt, h + u - 1, sw, c))
         for t in range(nt):
             lo = t * _TILE - rv  # frame column at strip column 0
             j0, j1 = max(0, -lo), min(sw, w - lo)
-            self.data[t, ru : ru + h, j0:j1] = f2[:, :, lo + j0 : lo + j1].transpose(1, 2, 0)
+            self.strips[t, ru : ru + h, j0:j1] = f2[:, :, lo + j0 : lo + j1].transpose(1, 2, 0)
         self.u, self.v, self.h, self.w = u, v, h, w
-        self.workspace = workspace
+        self.workspace = _Workspace() if workspace is None else workspace
 
     def targets(self) -> np.ndarray:
         """Read-only view ``(nt, h, u * (_TILE + v - 1), c)`` whose ``[t, i]`` holds
         strip ``t``'s rows ``i`` to ``i + u - 1`` end to end: every target of
         row tile ``(i, t)``, under cell ``(k, l)`` for pixel ``x`` at
         ``k * (_TILE + v - 1) + x + l``."""
-        nt, _, sw, c = self.data.shape
-        st, sr, sj, sc = self.data.strides
+        nt, _, sw, c = self.strips.shape
         return np.lib.stride_tricks.as_strided(
-            self.data, (nt, self.h, self.u * sw, c), (st, sr, sj, sc), writeable=False)
-
-
-def _channel_last(f1: np.ndarray, f2: np.ndarray, u: int, v: int,
-                  workspace: _Workspace | None = None) -> tuple[np.ndarray, _Strips]:
-    """``f1`` as ``(h, wt, c)``, and ``f2`` as :class:`_Strips` that write into
-    ``workspace`` (a fresh one when None).
-
-    ``wt`` is ``w`` rounded up to whole tiles of ``_TILE`` pixels, at least
-    one tile; the columns of ``f1`` past ``w`` are zero.
-    """
-    c, h, w = f1.shape
-    nt = max(1, -(-w // _TILE))
-    a = np.zeros((h, nt * _TILE, c))
-    a[:, :w] = f1.transpose(1, 2, 0)
-    return a, _Strips(f2, u, v, nt, _Workspace() if workspace is None else workspace)
+            self.strips, (nt, self.h, self.u * sw, c), self.strips.strides, writeable=False)
 
 
 def _bands(blocks: np.ndarray, u: int, v: int) -> np.ndarray:
@@ -179,70 +167,59 @@ def _bands(blocks: np.ndarray, u: int, v: int) -> np.ndarray:
         ((_TILE + v - 1) * sj, sj, si, st, sx + sj))
 
 
-def _tiles(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the last (pixel) axis of ``a``: its whole tiles ``(..., n, _TILE)``
-    and the ``w - n * _TILE`` pixels after them."""
-    n = a.shape[-1] // _TILE
-    # Splitting the last axis, which is contiguous, never copies.
-    return a[..., : n * _TILE].reshape(*a.shape[:-1], n, _TILE), a[..., n * _TILE :]
+def _window_costs(frames: _Frames, W: np.ndarray | None, out: np.ndarray | None = None):
+    """Costs of ``frames`` under ``W``, ``_CHUNK`` image rows at a time.
 
-
-def _tiled_pixels(t: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The views of ``t`` ``(..., nt, _TILE)`` that hold what :func:`_tiles`
-    splits a ``w``-pixel axis into; the padding past ``w`` is left out."""
-    return t[..., : w // _TILE, :], t[..., -1, : w % _TILE]
-
-
-def _window_costs(f1t: np.ndarray, f2: _Strips, W: np.ndarray | None, out: np.ndarray | None = None):
-    """Costs of :func:`_channel_last` frames under ``W``, ``_CHUNK`` image rows at a time.
-
-    Yields ``(i0, i1, costs)``, ``costs`` ``(u * v, i1 - i0, w)`` being rows
-    ``i0:i1`` of ``out`` ``(u * v, h, w)`` when given, else one workspace
-    buffer that every chunk overwrites.  ``W`` goes onto the first frame
-    (``f1^T W``, one GEMM over the whole frame), which leaves the strips
-    the same for every kernel.  Per chunk, one batched product of every
-    row tile with its targets gives an ``(_TILE, u * (_TILE + v - 1))``
-    block per tile whose bands are the costs of all window cells.
+    Yields ``(i0, i1, costs)``, ``costs`` ``(u * v, i1 - i0, wt)`` being rows
+    ``i0:i1`` of ``out`` ``(u * v, h, wt)`` when given, else one workspace
+    buffer that every chunk overwrites.  The costs are tile-padded: the
+    columns past ``w`` hold the zero costs of ``f1t``'s padding.  ``W``
+    goes onto the first frame (``f1^T W``, one GEMM over the whole frame),
+    which leaves the strips the same for every kernel.  Per chunk, one
+    batched product of every row tile with its targets gives an
+    ``(_TILE, u * (_TILE + v - 1))`` block per tile whose bands are the
+    costs of all window cells.
     """
-    h, wt, c = f1t.shape
-    u, v, w, ws = f2.u, f2.v, f2.w, f2.workspace
+    h, wt, c = frames.f1t.shape
+    u, v, ws = frames.u, frames.v, frames.workspace
+    f1t = frames.f1t
     if W is not None:
         f1t = np.matmul(f1t.reshape(h * wt, c), W, out=ws("frame", (h * wt, c))).reshape(h, wt, c)
     nt = wt // _TILE
     tiles = f1t.reshape(h, nt, _TILE, c).swapaxes(0, 1)
-    targets = f2.targets().swapaxes(-1, -2)
+    targets = frames.targets().swapaxes(-1, -2)
     for i0 in range(0, h, _CHUNK):
         i1 = min(i0 + _CHUNK, h)
         blocks = np.matmul(tiles[:, i0:i1], targets[:, i0:i1],
                            out=ws("blocks", (nt, i1 - i0, _TILE, targets.shape[-1])))
-        costs = ws("costs", (u * v, i1 - i0, w)) if out is None else out[:, i0:i1]
-        whole, rest = _tiles(costs.reshape(u, v, i1 - i0, w))
-        whole[...], rest[...] = _tiled_pixels(_bands(blocks, u, v), w)
+        costs = ws("costs", (u * v, i1 - i0, wt)) if out is None else out[:, i0:i1]
+        costs.reshape(u, v, i1 - i0, nt, _TILE)[...] = _bands(blocks, u, v)
         yield i0, i1, costs
 
 
-def _window_targets(f2: _Strips, dC: np.ndarray) -> np.ndarray:
+def _window_targets(frames: _Frames, dC: np.ndarray) -> np.ndarray:
     """``B`` ``(h * w, c)``: per pixel, the ``dC``-weighted sum of its targets
     in the strips, over every window cell.
 
     This is the adjoint of :func:`_window_costs` in the second frame.  Per
-    chunk of rows, ``dC`` fills the bands of one zeroed block per row tile,
-    and one batched product with the tiles' targets sums all cells.  ``B``
-    goes into the workspace buffer of ``f1^T W``, which is dead by now.
+    chunk of rows, ``dC`` ``(u, v, h, wt)``, tile-padded like the costs,
+    fills the bands of one zeroed block per row tile, and one batched
+    product with the tiles' targets sums all cells; the padded columns
+    reach only ``B``'s padded rows, which are cut off.  ``B`` goes into
+    the workspace buffer of ``f1^T W``, which is dead by now.
     """
-    u, v, h, w = dC.shape
-    nt, _, sw, c = f2.data.shape
-    targets = f2.targets()
-    B = f2.workspace("frame", (h, nt * _TILE, c))
+    u, v, h, wt = dC.shape
+    nt, _, sw, c = frames.strips.shape
+    targets = frames.targets()
+    B = frames.workspace("frame", (h, wt, c))
     tiles = B.reshape(h, nt, _TILE, c).swapaxes(0, 1)
     for i0 in range(0, h, _CHUNK):
         i1 = min(i0 + _CHUNK, h)
-        blocks = f2.workspace("blocks", (nt, i1 - i0, _TILE, u * sw))
+        blocks = frames.workspace("blocks", (nt, i1 - i0, _TILE, u * sw))
         blocks.fill(0.0)
-        whole, rest = _tiled_pixels(_bands(blocks, u, v), w)
-        whole[...], rest[...] = _tiles(dC[:, :, i0:i1])
+        _bands(blocks, u, v)[...] = dC[:, :, i0:i1].reshape(u, v, i1 - i0, nt, _TILE)
         np.matmul(blocks, targets[:, i0:i1], out=tiles[:, i0:i1])
-    return B[:, :w].reshape(h * w, c)
+    return B[:, : frames.w].reshape(-1, c)
 
 
 def _correlate(f1: np.ndarray, f2: np.ndarray, W: np.ndarray | None, u: int, v: int) -> np.ndarray:
@@ -251,11 +228,12 @@ def _correlate(f1: np.ndarray, f2: np.ndarray, W: np.ndarray | None, u: int, v: 
 
     The reduction order is fixed, so repeated runs are bitwise identical.
     """
-    _, h, w = f1.shape
-    out = np.empty((u * v, h, w))
-    for _ in _window_costs(*_channel_last(f1, f2, u, v), W, out):
+    frames = _Frames(f1, f2, u, v)
+    h, wt, _ = frames.f1t.shape
+    out = np.empty((u * v, h, wt))
+    for _ in _window_costs(frames, W, out):
         pass
-    return out
+    return out[..., : frames.w]
 
 
 def cost_volume_bilinear(f1: FeatureMap, f2: FeatureMap, W: np.ndarray, u: int, v: int) -> CostVolume:

@@ -29,9 +29,8 @@ from .costvolume import (
     FlowField,
     _cell_flow,
     _cells_by_magnitude,
-    _channel_last,
     _check_pair,
-    _Strips,
+    _Frames,
     _window_costs,
     _window_targets,
     _winners,
@@ -88,9 +87,9 @@ class PerturbSpec:
     patch_radius: int = 0
 
     def __post_init__(self):
-        if not (self.gamma > 0 and np.isfinite(self.gamma)):
+        if not 0 < self.gamma < np.inf:
             raise ValueError("PerturbSpec: gamma must be positive and finite")
-        if not (self.noise_std >= 0 and np.isfinite(self.noise_std)):
+        if not 0 <= self.noise_std < np.inf:
             raise ValueError("PerturbSpec: noise_std must be nonnegative and finite")
         if self.patch_radius < 0:
             raise ValueError("PerturbSpec: patch_radius must be nonnegative")
@@ -259,25 +258,25 @@ def matching_loss(cv, gt: FlowField) -> tuple[float, np.ndarray]:
     return loss, Z.reshape(u, v, h, w)
 
 
-def _grad_w_from_costs(f1: np.ndarray, f2: _Strips, dC: np.ndarray) -> np.ndarray:
-    """Chain a cost-volume gradient ``dC`` ``(u, v, h, w)`` back to the kernel matrix.
+def _grad_w_from_costs(f1: np.ndarray, frames: _Frames, dC: np.ndarray) -> np.ndarray:
+    """Chain a cost-volume gradient ``dC`` ``(u, v, h, wt)`` back to the kernel matrix.
 
     ``dL/dW[a, b] = sum_klij dC[k,l,i,j] f1[a,i,j] f2[b, i+k-ru, j+l-rv]``
-    with zero padding outside the second frame, which comes as the
-    strips of :func:`_channel_last`.  The inner sum over cells is
-    :func:`_window_targets`, then one GEMM with ``f1``.
+    with zero padding outside the second frame, whose strips ``frames``
+    holds.  The inner sum over cells is :func:`_window_targets`, then one
+    GEMM with ``f1`` ``(c, h, w)``.
     """
     c, h, w = f1.shape
-    return f1.reshape(c, h * w) @ _window_targets(f2, dC)
+    return f1.reshape(c, h * w) @ _window_targets(frames, dC)
 
 
 class _MatchingProblem:
     """One pair ``(f1, f2, gt)`` under a ``u x v`` window, scored for many kernels.
 
     What does not depend on ``W`` is prepared once: the window cells in
-    decoding order, the frames of :func:`_channel_last` (the kernel goes
-    onto the first, so the second frame's strips serve every forward and
-    backward) and, at the first gradient, the labels.  The buffers the
+    decoding order, the :class:`_Frames` (the kernel goes onto the first
+    frame, so the second frame's strips serve every forward and backward)
+    and, at the first gradient, the labels.  The buffers the
     engine writes stay in ``workspace``, which problems may share.
     ``loss_grad`` runs the forward once and takes the decode, the loss
     and the gradient from that one cost tensor; ``decode`` consumes the
@@ -291,7 +290,7 @@ class _MatchingProblem:
         self.f1, self.gt = f1.data, gt
         self.u, self.v = u, v
         self.order = _cells_by_magnitude(u, v)
-        self._f1_tiled, self._f2 = _channel_last(f1.data, f2.data, u, v, workspace)
+        self._frames = _Frames(f1.data, f2.data, u, v, workspace)
         self._labels = None
 
     def _cells(self, costs: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -300,14 +299,14 @@ class _MatchingProblem:
         np.max(costs, axis=0, out=best)
         if not (np.isfinite(costs.min()) and np.isfinite(best.max())):
             raise NumericalError("matching: the costs under this kernel are not finite")
-        return _winners(costs, best, self.order, self._f2.workspace)
+        return _winners(costs, best, self.order, self._frames.workspace)
 
     def _costs(self, W: np.ndarray, out: np.ndarray | None = None):
         """The chunks of :func:`_window_costs` under ``W``."""
         c = self.f1.shape[0]
         if W.shape != (c, c):
             raise ValueError(f"matching: W shape {W.shape}, expected {(c, c)}")
-        return _window_costs(self._f1_tiled, self._f2, W, out)
+        return _window_costs(self._frames, W, out)
 
     def decode(self, W: np.ndarray) -> FlowField:
         """Winner-take-all flow under ``W``, as :func:`decode_flow_argmax`."""
@@ -315,7 +314,7 @@ class _MatchingProblem:
         cells = np.empty((h, w), dtype=np.intp)
         best = np.empty((h, w))
         for i0, i1, costs in self._costs(W):
-            cells[i0:i1] = self._cells(costs, best[i0:i1])
+            cells[i0:i1] = self._cells(costs[..., :w], best[i0:i1])
         return _cell_flow(cells, self.u, self.v)
 
     def loss_grad(self, W: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -324,13 +323,14 @@ class _MatchingProblem:
         _, h, w = self.f1.shape
         if self._labels is None:
             self._labels = _labels(self.gt, u, v)
-        Z = self._f2.workspace("costs", (u * v, h, w))
+        wt = self._frames.f1t.shape[1]
+        Z = self._frames.workspace("costs", (u * v, h, wt))
         for _ in self._costs(W, Z):
             pass
         best = np.empty((h, w))
-        aepe = epe(_cell_flow(self._cells(Z, best), u, v), self.gt)
-        loss = _softmax_xent(Z, best, self._labels)
-        return loss, _grad_w_from_costs(self.f1, self._f2, Z.reshape(u, v, h, w)), aepe
+        aepe = epe(_cell_flow(self._cells(Z[..., :w], best), u, v), self.gt)
+        loss = _softmax_xent(Z[..., :w], best, self._labels)
+        return loss, _grad_w_from_costs(self.f1, self._frames, Z.reshape(u, v, h, wt)), aepe
 
 
 def matching_loss_grad_w(

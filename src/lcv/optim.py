@@ -52,7 +52,7 @@ class OptimizerConfig:
     mode: str = "cayley"
 
     def __post_init__(self):
-        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+        if not 0 < self.learning_rate < np.inf:
             raise ValueError("OptimizerConfig: learning_rate must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("OptimizerConfig: max_steps must be at least 1")
@@ -68,7 +68,7 @@ def cayley_sgd_step(kernel: SPDKernel, grad: KernelGradient, lr: float) -> SPDKe
     Moves ``s`` and ``t`` against the gradient and reassembles; a zero
     gradient reproduces the same kernel bitwise.
     """
-    if not (lr > 0 and np.isfinite(lr)):
+    if not 0 < lr < np.inf:
         raise ValueError("cayley_sgd_step: lr must be positive and finite")
     if (grad.d_skew.shape != kernel.skew_params.entries.shape
             or grad.d_diag.shape != kernel.diag_params.t.shape):
@@ -141,7 +141,7 @@ def stiefel_sgd_step(kernel: SPDKernel, dL_dP: np.ndarray, lr: float, d_diag: np
 
 def _stiefel_move(kernel: SPDKernel, Z: np.ndarray, lr: float, d_diag: np.ndarray) -> SPDKernel:
     """``stiefel_sgd_step`` from the tangent ``Z``, already projected."""
-    if not (lr > 0 and np.isfinite(lr)):
+    if not 0 < lr < np.inf:
         raise ValueError("stiefel_sgd_step: lr must be positive and finite")
     d_diag = np.asarray(d_diag, dtype=float)
     if d_diag.shape != kernel.diag_params.t.shape:

@@ -1,0 +1,78 @@
+"""The comparison of ``tools/byte_identity.py`` on canned output directories;
+the CLI is not run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
+_spec = importlib.util.spec_from_file_location("byte_identity", TOOL)
+byte_identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(byte_identity)
+
+
+def _log(wall_ms, loss=0.5):
+    return "".join(json.dumps({"step": i, "loss": loss, "grad_norm": 0.25, "wall_ms": wall_ms + i}) + "\n"
+                   for i in range(3))
+
+
+def _write(root: Path, files: dict[str, str | bytes]) -> Path:
+    for name, content in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    return root
+
+
+FILES = {
+    "cayley/data/f1.lcvt": b"LCVT\x01\x00" + bytes(range(16)),
+    "cayley/ck.lcvk": b"LCVK\x01" + bytes(8),
+    "cayley/ck.log": _log(1.0),
+    "stiefel/sweep/results.csv": "seed,gamma\n7,0.5\n",
+}
+
+
+def _pair(tmp_path, **changed):
+    a = _write(tmp_path / "a", FILES)
+    b = _write(tmp_path / "b", {**FILES, **changed})
+    return a, b
+
+
+def test_identical_trees_have_no_differences(tmp_path):
+    assert byte_identity.differences(*_pair(tmp_path)) == []
+
+
+def test_one_byte_difference_is_named(tmp_path):
+    tensor = bytearray(FILES["cayley/data/f1.lcvt"])
+    tensor[-1] ^= 1
+    a, b = _pair(tmp_path, **{"cayley/data/f1.lcvt": bytes(tensor)})
+    assert byte_identity.differences(a, b) == ["cayley/data/f1.lcvt"]
+
+
+def test_wall_times_alone_do_not_differ(tmp_path):
+    assert byte_identity.differences(*_pair(tmp_path, **{"cayley/ck.log": _log(99.0)})) == []
+
+
+def test_log_values_besides_wall_times_differ(tmp_path):
+    a, b = _pair(tmp_path, **{"cayley/ck.log": _log(1.0, loss=0.5000000000000001)})
+    assert byte_identity.differences(a, b) == ["cayley/ck.log"]
+
+
+def test_a_file_on_one_side_only_is_named(tmp_path):
+    a, b = _pair(tmp_path, **{"stiefel/sweep/summary.json": "{}\n"})
+    assert byte_identity.differences(a, b) == ["stiefel/sweep/summary.json"]
+    assert byte_identity.differences(b, a) == ["stiefel/sweep/summary.json"]
+
+
+@pytest.mark.parametrize("changed, code", [({}, 0), ({"stiefel/sweep/results.csv": "seed,gamma\n7,0.6\n"}, 1)])
+def test_main_exits_nonzero_naming_each_differing_file(tmp_path, monkeypatch, capsys, changed, code):
+    def canned(tree, out):
+        _write(out, {**FILES, **changed} if tree.name == "change" else FILES)
+
+    monkeypatch.setattr(byte_identity, "run_recipe", canned)
+    assert byte_identity.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == code
+    out = capsys.readouterr().out
+    assert ("differs: stiefel/sweep/results.csv" in out) == bool(changed)
+    assert f"{len(FILES)} files compared" in out

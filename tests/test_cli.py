@@ -133,6 +133,64 @@ class TestConfig:
         with pytest.raises(ValueError, match="JSON"):
             load_config(str(path))
 
+    def test_values_of_the_defaults_types_are_accepted(self, tmp_path):
+        # An integer passes where a float is the default; mixing and a seed
+        # list take the types that their defaults do not show.
+        cfg = {"optimizer": {"learning_rate": 1}, "perturb": {"gamma": 2, "noise_std": 0},
+               "synthetic": {"mixing": [[1, 0.5], [0, 1]]}, "sweep": {"seeds": [4, 5], "gamma_grid": [1, 0.5]}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        loaded = load_config(str(path))
+        assert loaded["optimizer"]["learning_rate"] == 1
+        assert loaded["synthetic"]["mixing"] == [[1, 0.5], [0, 1]]
+        assert loaded["sweep"]["seeds"] == [4, 5]
+        path.write_text(json.dumps({"synthetic": {"mixing": None}, "sweep": {"seeds": 3}}))
+        assert load_config(str(path))["synthetic"]["mixing"] is None
+
+    # The cases that commands once accepted or failed on without naming the
+    # key are run end to end in the next test.
+    @pytest.mark.parametrize("path, value", [
+        pytest.param("optimizer.learning_rate", 10**400, id="optimizer.learning_rate-beyond_floats"),
+        ("optimizer.mode", 1),
+        ("optimizer.max_steps", 5.0),
+        ("perturb.gamma", [1.0]),
+        ("synthetic.seed", None),
+        ("synthetic.mixing", [1.0]),
+        ("window", [5, "5"]),
+        ("window", 5),
+        ("instances", False),
+        ("sweep.seeds", [1.0]),
+    ])
+    def test_value_of_another_type_names_its_key(self, tmp_path, path, value):
+        *section, key = path.split(".")
+        cfg = {section[0]: {key: value}} if section else {key: value}
+        file = tmp_path / "c.json"
+        file.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match=f"^config: {path} must be "):
+            load_config(str(file))
+
+    @pytest.mark.parametrize("command, path, value", [
+        ("train", "optimizer.learning_rate", True),
+        ("train", "optimizer.learning_rate", "x"),
+        ("sweep", "sweep.patch_grid", [1.5]),
+        ("sweep", "sweep.patch_grid", [True]),
+        ("sweep", "sweep.noise_grid", [True]),
+        ("sweep", "sweep.gamma_grid", ["a"]),
+        ("sweep", "sweep.gamma_grid", 2),
+        ("generate", "synthetic.mixing", [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ("generate", "synthetic.mixing", {"a": 1}),
+    ])
+    def test_value_of_another_type_exits_1_before_writing(self, tmp_path, tiny_config, capsys,
+                                                          command, path, value):
+        cfg = json.loads(Path(tiny_config).read_text())
+        section, key = path.split(".")
+        cfg[section][key] = value
+        file = tmp_path / "c.json"
+        file.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(file), "--out", str(tmp_path / "out")]) == 1
+        assert f"config: {path} must be " in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
 
 class TestGenerate:
     def test_writes_tensors_and_meta(self, tmp_path, tiny_config):
@@ -174,6 +232,16 @@ class TestGenerate:
 
         monkeypatch.setattr("lcv.cli.generate", broken)
         with pytest.raises(KeyError):
+            main(["generate", "--out", str(tmp_path / "x")])
+
+    def test_type_error_is_not_a_user_error(self, tmp_path, monkeypatch):
+        # The config's types are checked as it is read, so a TypeError is a
+        # bug and must surface as one rather than as exit 1.
+        def broken(spec):
+            raise TypeError("bug")
+
+        monkeypatch.setattr("lcv.cli.generate", broken)
+        with pytest.raises(TypeError):
             main(["generate", "--out", str(tmp_path / "x")])
 
 
@@ -260,6 +328,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "numerical error" in err
         assert "step 1" in err
+
+    def test_integer_learning_rate_past_int64_is_a_number(self, tmp_path, tiny_config, capsys):
+        # JSON integers have no size limit, and one past int64 must still be
+        # checked and used as a number: this one overflows the first step.
+        cfg = json.loads(Path(tiny_config).read_text())
+        cfg["optimizer"]["learning_rate"] = 10**30
+        path = tmp_path / "blow_up.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(path), "--out", str(tmp_path / "ck")]) == 2
+        assert "step 1" in capsys.readouterr().err
 
 
 class TestEval:
@@ -426,6 +505,22 @@ class TestSweep:
         out = tmp_path / "s"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
         assert "config: instances must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_all_grids_empty_exits_1_before_training(self, tmp_path, tiny_config, capsys,
+                                                     monkeypatch):
+        def trained(*args, **kwargs):
+            pytest.fail("run_sweep was called")
+
+        monkeypatch.setattr("lcv.cli.run_sweep", trained)
+        cfg = json.loads(Path(tiny_config).read_text())
+        cfg["sweep"].update(gamma_grid=[], noise_grid=[], patch_grid=[])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "sweep.gamma_grid, sweep.noise_grid, sweep.patch_grid" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -352,7 +352,8 @@ GRAD_RTOL = 1e-12
 @st.composite
 def matching_cases(draw, integer):
     """Small pairs with odd, possibly unequal window sides and integer flow
-    anywhere in the window, border included.  Widths run past two tiles
+    anywhere in the window, border included.  Sides run up to the paper's
+    9, whose 16-column strips span two tiles.  Widths run past two tiles
     of the correlation, with whole tiles and partial ones, and heights
     past two of its row chunks, with whole chunks and partial ones.
     ``integer`` draws integer features and an integer ``W``, which make
@@ -361,8 +362,8 @@ def matching_cases(draw, integer):
     c = draw(st.integers(1, 4))
     h = draw(st.integers(1, 19) | st.sampled_from([8, 9, 16, 17]))
     w = draw(st.integers(1, 17) | st.sampled_from([8, 16]))
-    u = draw(st.sampled_from([1, 3, 5]))
-    v = draw(st.sampled_from([1, 3, 5]))
+    u = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    v = draw(st.sampled_from([1, 3, 5, 7, 9]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if integer:
         f1 = rng.integers(-2, 3, (c, h, w)).astype(float)

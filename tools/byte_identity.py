@@ -1,0 +1,94 @@
+"""Run the CLI on two trees and compare what each writes, byte for byte.
+
+    python3 tools/byte_identity.py ../parent .
+
+For each tree and each optimizer mode (``cayley``, ``stiefel``) it runs
+``lcv generate``, ``lcv train``, ``lcv eval`` (on the trained checkpoint)
+and ``lcv sweep`` on one small fixed config, with the tree's own ``src``
+first on ``PYTHONPATH`` and BLAS on one thread unless the environment sets
+otherwise.  Every file written must match the other tree's.  The train log
+is compared with ``wall_ms`` dropped from each of its JSON lines, since
+wall times differ between any two runs.  Prints each differing file and
+exits 1 when there is one, or when a command fails; else exits 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MODES = ("cayley", "stiefel")
+CONFIG = {
+    "synthetic": {"height": 16, "width": 16, "signal_channels": 3, "noise_channels": 3,
+                  "max_displacement": 1, "seed": 7},
+    "optimizer": {"learning_rate": 0.01, "max_steps": 40},
+    "window": [3, 3],
+    "instances": 5,
+    "sweep": {"seeds": [7, 8], "gamma_grid": [0.5, 1.0], "noise_grid": [0.05], "patch_grid": [2]},
+}
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_recipe(tree: Path, out: Path) -> None:
+    """Write every mode's outputs from ``tree`` under ``out/<mode>``."""
+    env = {**{name: "1" for name in THREADS}, **os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    for mode in MODES:
+        config = out / f"{mode}.json"
+        config.write_text(json.dumps({**CONFIG, "optimizer": {**CONFIG["optimizer"], "mode": mode}}))
+        d = out / mode
+        for args in (["generate", "--config", config, "--out", d / "data"],
+                     ["train", "--config", config, "--out", d / "ck"],
+                     ["eval", "--checkpoint", d / "ck.lcvk", "--data", d / "data",
+                      "--out", d / "metrics.json"],
+                     ["sweep", "--config", config, "--out", d / "sweep"]):
+            done = subprocess.run([sys.executable, "-m", "lcv.cli", *map(str, args)],
+                                  env=env, capture_output=True, text=True)
+            if done.returncode != 0:
+                raise SystemExit(f"{tree}: lcv {args[0]} ({mode}) exited {done.returncode}:\n{done.stderr}")
+
+
+def comparable(path: Path) -> bytes:
+    """The bytes of ``path`` as compared: a train log's lines lose ``wall_ms``."""
+    data = path.read_bytes()
+    if path.suffix != ".log":
+        return data
+    records = [json.loads(line) for line in data.splitlines()]
+    for record in records:
+        record.pop("wall_ms", None)
+    return "\n".join(map(json.dumps, records)).encode()
+
+
+def differences(a: Path, b: Path) -> list[str]:
+    """Paths, relative to ``a`` and ``b``, of the files that differ or that
+    only one side has."""
+    files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (a, b)]
+    return sorted(str(p) for p in files[0] | files[1]
+                  if p not in files[0] or p not in files[1] or comparable(a / p) != comparable(b / p))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        outs = [Path(work) / side for side in ("parent", "change")]
+        for tree, out in zip((args.parent, args.change), outs):
+            out.mkdir()
+            run_recipe(tree.resolve(), out)
+        compared = sum(1 for p in outs[0].rglob("*") if p.is_file())
+        differ = differences(*outs)
+    for path in differ:
+        print(f"differs: {path}")
+    print(f"byte_identity: {compared} files compared in modes {', '.join(MODES)}, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
