@@ -21,7 +21,6 @@ gradient descent over the whole set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,10 @@ def _frozen(value, who: str, ndim: int) -> np.ndarray:
     Every array a frozen container stores goes through here, so a factor
     checked once cannot change afterwards.
     """
-    a = np.array(value, dtype=float)
+    try:
+        a = np.array(value, dtype=float)
+    except ValueError as err:
+        raise ValueError(f"{who}: {err}") from err
     if a.ndim != ndim:
         raise ValueError(f"{who}: expected {ndim}-D data, got shape {a.shape}")
     _require_finite(a, who)
@@ -283,11 +285,11 @@ def dlambda_dt(t: DiagParams | np.ndarray) -> np.ndarray:
 def so_star_path(P: OrthogonalMatrix, steps: int) -> list[OrthogonalMatrix]:
     """Discretize a continuous path from the identity to ``P`` inside SO*(n).
 
-    The real Schur form of an orthogonal matrix is block diagonal with
-    2x2 rotation blocks and unit 1x1 blocks.  Scaling every rotation angle
-    by ``k / steps`` yields ``steps + 1`` matrices from the identity to
-    ``P``; angles stay inside (-pi, pi) throughout, so each point remains
-    in SO*(n).
+    An orthogonal matrix is normal, so its complex Schur form
+    ``P = Z T Z^H`` has a diagonal ``T`` of unit eigenvalues ``exp(i phi)``.
+    Scaling every angle ``phi`` by ``k / steps`` yields ``steps + 1``
+    matrices from the identity to ``P``; angles stay inside (-pi, pi)
+    throughout, so each point remains in SO*(n).
 
     Parameters
     ----------
@@ -309,35 +311,10 @@ def so_star_path(P: OrthogonalMatrix, steps: int) -> list[OrthogonalMatrix]:
     # only this path needs it.
     import scipy.linalg
 
-    T, Q = scipy.linalg.schur(P.values, output="real")
-    n = T.shape[0]
-
-    # Walk the quasi-diagonal: subdiagonal entries are structurally exact
-    # zeros except at 2x2 blocks, so a plain nonzero test is reliable.
-    blocks: list[tuple[int, float]] = []
-    i = 0
-    while i < n:
-        if i + 1 < n and T[i + 1, i] != 0.0:
-            cos_part = 0.5 * (T[i, i] + T[i + 1, i + 1])
-            sin_part = 0.5 * (T[i + 1, i] - T[i, i + 1])
-            blocks.append((i, math.atan2(sin_part, cos_part)))
-            i += 2
-        else:
-            if T[i, i] <= 0.0:
-                raise NotInSOStarError(
-                    "so_star_path: Schur form exposes a nonpositive real eigenvalue "
-                    f"{T[i, i]:.6e}; the endpoint is outside SO*(n)",
-                    nearest_eigenvalue=complex(T[i, i]),
-                )
-            i += 1
-
-    path = []
-    for k in range(steps + 1):
-        frac = k / steps
-        D = np.eye(n)
-        for start, theta in blocks:
-            a = frac * theta
-            c, s = math.cos(a), math.sin(a)
-            D[start : start + 2, start : start + 2] = ((c, -s), (s, c))
-        path.append(OrthogonalMatrix(Q @ D @ Q.T))
-    return path
+    T, Z = scipy.linalg.schur(P.values, output="complex")
+    phi = np.angle(np.diag(T))
+    # Each point is the principal power P**(k/steps), real up to rounding.
+    return [
+        OrthogonalMatrix(((Z * np.exp(1j * (k / steps) * phi)) @ Z.conj().T).real)
+        for k in range(steps + 1)
+    ]

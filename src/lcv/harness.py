@@ -198,7 +198,7 @@ def perturb(
             hi = data[ch].max()
             if hi > lo:
                 x = (data[ch] - lo) / (hi - lo)
-                data[ch] = lo + (hi - lo) * np.sign(x) * np.abs(x) ** p.gamma
+                data[ch] = lo + (hi - lo) * x**p.gamma
 
     if p.noise_std > 0.0:
         data += rng.normal(0.0, p.noise_std, data.shape)
@@ -628,6 +628,8 @@ def run_gradcheck(
     several sizes, and the full softmax matching loss through a cost
     volume on random 4-channel 4x4 instances.
     """
+    if not 0 < tolerance < np.inf:
+        raise ValueError(f"run_gradcheck: tolerance must be positive and finite, got {tolerance}")
     from .cayley import DiagParams, SkewParams
     from .kernel import assemble_kernel
 

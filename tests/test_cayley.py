@@ -247,6 +247,31 @@ class TestSOStarPath:
             for q in path:
                 assert is_in_so_star(q.values)
 
+    @pytest.mark.parametrize(
+        "n, angles",
+        [(7, (0.4, -1.3, 2.9)), (6, (0.7, 0.7)), (5, (np.pi - 1e-7, 1.0)), (4, ())],
+        ids=["distinct", "repeated", "near-half-turn", "identity"],
+    )
+    def test_path_scales_the_angles(self, n, angles):
+        # The path is the angle-scaling geodesic t -> P**t, not just any
+        # path inside SO*(n): point k turns each plane by k/steps of P's
+        # angle, and the points compose like powers of one rotation.
+        steps = 6
+        D = np.eye(n)
+        for i, theta in enumerate(angles):
+            D[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rotation(theta)
+        Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+        P = OrthogonalMatrix(Q @ D @ Q.T)
+        path = [q.values for q in so_star_path(P, steps)]
+        full = np.sort(np.angle(np.linalg.eigvals(P.values)))
+        for k, q in enumerate(path):
+            np.testing.assert_allclose(
+                np.sort(np.angle(np.linalg.eigvals(q))), k / steps * full, rtol=0, atol=1e-12
+            )
+            for j in range(steps + 1 - k):
+                np.testing.assert_allclose(path[j] @ q, path[j + k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(path[-1], P.values, rtol=0, atol=1e-12)
+
     def test_rejects_half_turn_endpoint(self):
         with pytest.raises(NotInSOStarError):
             so_star_path(OrthogonalMatrix(rotation(np.pi)), 4)

@@ -224,6 +224,16 @@ class TestGenerate:
         missing = str(tmp_path / "nope.json")
         assert main(["generate", "--config", missing, "--out", str(tmp_path / "x")]) == 1
 
+    def test_ragged_mixing_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "ragged.json"
+        cfg.write_text(json.dumps({"synthetic": {"signal_channels": 1, "noise_channels": 1,
+                                                 "mixing": [[1, 2], [3]]}}))
+        out = tmp_path / "x"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "synthetic.mixing" in err or "SyntheticSpec.mixing" in err
+        assert not out.exists()
+
     def test_key_error_is_not_a_user_error(self, tmp_path, monkeypatch):
         # Every config key is filled from the defaults, so a KeyError is a bug
         # and must surface as one rather than as exit 1.
@@ -533,6 +543,11 @@ class TestGradcheckCommand:
     def test_impossible_tolerance_exits_2(self, capsys):
         assert main(["gradcheck", "--tolerance", "1e-18"]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "0", "-1", "inf"])
+    def test_malformed_tolerance_exits_1(self, capsys, tolerance):
+        assert main(["gradcheck", "--tolerance", tolerance]) == 1
+        assert "tolerance" in capsys.readouterr().err
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -4,12 +4,14 @@
 
 For each tree and each optimizer mode (``cayley``, ``stiefel``) it runs
 ``lcv generate``, ``lcv train``, ``lcv eval`` (on the trained checkpoint)
-and ``lcv sweep`` on one small fixed config, with the tree's own ``src``
-first on ``PYTHONPATH`` and BLAS on one thread unless the environment sets
-otherwise.  Every file written must match the other tree's.  The train log
-is compared with ``wall_ms`` dropped from each of its JSON lines, since
-wall times differ between any two runs.  Prints each differing file and
-exits 1 when there is one, or when a command fails; else exits 0.
+and ``lcv sweep`` on one small fixed config, and once per tree it runs
+``lcv gradcheck`` and writes its stdout to ``gradcheck.txt``.  Each tree's
+own ``src`` comes first on ``PYTHONPATH``, and BLAS runs on one thread
+unless the environment sets otherwise.  Every file written must match the
+other tree's.  The train log is compared with ``wall_ms`` dropped from each
+of its JSON lines, since wall times differ between any two runs.  Prints
+each differing file and exits 1 when there is one, or when a command fails;
+else exits 0.
 """
 
 from __future__ import annotations
@@ -35,9 +37,18 @@ THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_recipe(tree: Path, out: Path) -> None:
-    """Write every mode's outputs from ``tree`` under ``out/<mode>``."""
+    """Write every mode's outputs from ``tree`` under ``out/<mode>``, and
+    ``lcv gradcheck``'s report to ``out/gradcheck.txt``."""
     env = {**{name: "1" for name in THREADS}, **os.environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+
+    def lcv(*args, label) -> str:
+        done = subprocess.run([sys.executable, "-m", "lcv.cli", *map(str, args)],
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise SystemExit(f"{tree}: lcv {label} exited {done.returncode}:\n{done.stderr}")
+        return done.stdout
+
     for mode in MODES:
         config = out / f"{mode}.json"
         config.write_text(json.dumps({**CONFIG, "optimizer": {**CONFIG["optimizer"], "mode": mode}}))
@@ -47,10 +58,8 @@ def run_recipe(tree: Path, out: Path) -> None:
                      ["eval", "--checkpoint", d / "ck.lcvk", "--data", d / "data",
                       "--out", d / "metrics.json"],
                      ["sweep", "--config", config, "--out", d / "sweep"]):
-            done = subprocess.run([sys.executable, "-m", "lcv.cli", *map(str, args)],
-                                  env=env, capture_output=True, text=True)
-            if done.returncode != 0:
-                raise SystemExit(f"{tree}: lcv {args[0]} ({mode}) exited {done.returncode}:\n{done.stderr}")
+            lcv(*args, label=f"{args[0]} ({mode})")
+    (out / "gradcheck.txt").write_text(lcv("gradcheck", label="gradcheck"))
 
 
 def comparable(path: Path) -> bytes:
