@@ -187,8 +187,9 @@ def cmd_eval(args) -> int:
     f1 = FeatureMap(read_tensor(data_dir / "f1.lcvt"))
     f2 = FeatureMap(read_tensor(data_dir / "f2.lcvt"))
     gt = FlowField(read_tensor(data_dir / "flow.lcvt"))
-    f2p = perturb(f2, p, seed=spec.seed, signal_channels=min(spec.signal_channels, f2.channels))
-    scores = score_pair(f1, f2p, gt, kernel, identity_kernel(f1.channels), window)
+    # Rebound, so the unperturbed frame is freed before decoding.
+    f2 = perturb(f2, p, seed=spec.seed, signal_channels=min(spec.signal_channels, f2.channels))
+    scores = score_pair(f1, f2, gt, kernel, window)
     metrics = {
         "aepe": scores["aepe_learned"],
         "fl_all": scores["fl_learned"],
@@ -245,10 +246,17 @@ def cmd_gradcheck(args) -> int:
     return 0 if not failures else 2
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="lcv", description="Learnable cost volume experiment harness"
-    )
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, as every other malformed input does; exit 2
+    stays the code of numerical failures.  Subparsers take this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="lcv", description="Learnable cost volume experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write one synthetic instance to a directory")
@@ -282,8 +290,15 @@ def main(argv=None) -> int:
     p_gc.add_argument("--tolerance", type=float, default=1e-5)
     p_gc.add_argument("--eps", type=float, default=1e-5)
     p_gc.set_defaults(func=cmd_gradcheck)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built once: an in-process caller does not pay for it on every call.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

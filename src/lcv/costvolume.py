@@ -394,8 +394,11 @@ def read_tensor(path) -> np.ndarray:
             )
         if nbytes < left:
             raise ValueError(f"read_tensor: trailing bytes in {path!r}")
-        payload = fh.read(nbytes)
-    try:
-        return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    except ValueError as err:  # more axes, or a larger empty shape, than numpy holds
-        raise ValueError(f"read_tensor: {path!r} declares a shape numpy cannot hold: {err}") from err
+        try:
+            arr = np.empty(shape, dtype="<f8")
+        except ValueError as err:  # more axes, or a larger empty shape, than numpy holds
+            raise ValueError(f"read_tensor: {path!r} declares a shape numpy cannot hold: {err}") from err
+        # The payload is read straight into the array's own buffer.
+        if fh.readinto(arr) != nbytes:
+            raise ValueError(f"read_tensor: truncated payload in {path!r}")
+    return arr

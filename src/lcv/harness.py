@@ -189,19 +189,30 @@ def perturb(
     cs = c if signal_channels is None else int(signal_channels)
     if not 0 <= cs <= c:
         raise ValueError(f"perturb: signal_channels {cs} outside [0, {c}]")
-    data = np.array(f.data)
     rng = np.random.default_rng(seed)
 
-    if p.gamma != 1.0:
-        for ch in range(cs):
-            lo = data[ch].min()
-            hi = data[ch].max()
-            if hi > lo:
-                x = (data[ch] - lo) / (hi - lo)
-                data[ch] = lo + (hi - lo) * x**p.gamma
-
-    if p.noise_std > 0.0:
-        data += rng.normal(0.0, p.noise_std, data.shape)
+    curved = cs if p.gamma != 1.0 else 0  # leading channels on the gamma curve
+    noisy = p.noise_std > 0.0
+    if noisy:
+        # The noise is drawn into the working array, scaled there, and the
+        # input added on top: ``s * z + x`` has the bits of the
+        # ``x + (0.0 + s * z)`` of adding ``rng.normal(0.0, s)``, but where
+        # ``x`` and ``s * z`` are both -0.0.
+        data = rng.standard_normal((c, h, w))
+        data *= p.noise_std
+        data[curved:] += f.data[curved:]
+    else:
+        data = np.array(f.data)
+    for ch in range(curved):
+        x = f.data[ch]
+        lo = x.min()
+        hi = x.max()
+        if hi > lo:
+            x = lo + (hi - lo) * ((x - lo) / (hi - lo)) ** p.gamma
+        if noisy:
+            data[ch] += x
+        else:
+            data[ch] = x
 
     if p.patch_radius > 0:
         r = p.patch_radius
@@ -301,15 +312,17 @@ class _MatchingProblem:
             raise NumericalError("matching: the costs under this kernel are not finite")
         return _winners(costs, best, self.order, self._frames.workspace)
 
-    def _costs(self, W: np.ndarray, out: np.ndarray | None = None):
-        """The chunks of :func:`_window_costs` under ``W``."""
+    def _costs(self, W: np.ndarray | None, out: np.ndarray | None = None):
+        """The chunks of :func:`_window_costs` under ``W``; None is ``W = I``
+        without its product."""
         c = self.f1.shape[0]
-        if W.shape != (c, c):
+        if W is not None and W.shape != (c, c):
             raise ValueError(f"matching: W shape {W.shape}, expected {(c, c)}")
         return _window_costs(self._frames, W, out)
 
-    def decode(self, W: np.ndarray) -> FlowField:
-        """Winner-take-all flow under ``W``, as :func:`decode_flow_argmax`."""
+    def decode(self, W: np.ndarray | None) -> FlowField:
+        """Winner-take-all flow under ``W`` (None for ``W = I``), as
+        :func:`decode_flow_argmax`."""
         _, h, w = self.f1.shape
         cells = np.empty((h, w), dtype=np.intp)
         best = np.empty((h, w))
@@ -438,17 +451,17 @@ _METRIC_NAMES = ("aepe_identity", "aepe_learned", "fl_identity", "fl_learned")
 
 
 def score_pair(
-    f1: FeatureMap, f2: FeatureMap, gt: FlowField,
-    learned: SPDKernel, ident: SPDKernel, window: tuple[int, int],
+    f1: FeatureMap, f2: FeatureMap, gt: FlowField, learned: SPDKernel, window: tuple[int, int],
 ) -> dict[str, float]:
-    """AEPE and Fl-all of one pair decoded under ``ident`` and under ``learned``.
+    """AEPE and Fl-all of one pair decoded under ``W = I`` and under ``learned``.
 
-    Keys are the metric fields of :class:`ExperimentResult`.
+    The identity decode is the vanilla inner product, with no ``f1^T W``
+    product.  Keys are the metric fields of :class:`ExperimentResult`.
     """
     problem = _MatchingProblem(f1, f2, gt, window)
     scores = {}
-    for name, kernel in (("identity", ident), ("learned", learned)):
-        flow = problem.decode(kernel.W)
+    for name, W in (("identity", None), ("learned", learned.W)):
+        flow = problem.decode(W)
         scores[f"aepe_{name}"] = epe(flow, gt)
         scores[f"fl_{name}"] = fl_all(flow, gt)
     return scores
@@ -471,7 +484,6 @@ def _train_and_score(
     data, seeds = experiment_instances(spec, instances)
     n_train, n_eval = _split(instances)
     learned, records = train_kernel(data[:n_train], opt, window)
-    ident = identity_kernel(spec.channels)
 
     results = []
     for p in points:
@@ -479,7 +491,7 @@ def _train_and_score(
         for j, (f1, f2, gt) in enumerate(data[n_train:]):
             f2p = perturb(f2, p, seed=int(seeds[instances + n_train + j]),
                           signal_channels=spec.signal_channels)
-            for name, value in score_pair(f1, f2p, gt, learned, ident, window).items():
+            for name, value in score_pair(f1, f2p, gt, learned, window).items():
                 sums[name] += value
         results.append(ExperimentResult(
             **{name: total / n_eval for name, total in sums.items()},

@@ -17,6 +17,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +454,31 @@ class TestEval:
                    "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "m.json")])
         assert rc == 1
 
+    def test_paper_scale_call_peaks_below_7_25_frames(self, tmp_path):
+        # c=64, 64x64 frames under a 9x9 window, with gamma and noise.  A
+        # warm call holds f1, the perturbed f2, the pair prepared for the
+        # correlation and f1^T W at its peak, but not the unperturbed f2.
+        cfg = {"synthetic": {"height": 64, "width": 64, "signal_channels": 8,
+                             "noise_channels": 56, "max_displacement": 4},
+               "perturb": {"gamma": 0.7, "noise_std": 0.1}, "window": [9, 9]}
+        config = tmp_path / "paper.json"
+        config.write_text(json.dumps(cfg))
+        data = tmp_path / "data"
+        save_kernel(tmp_path / "k.lcvk", identity_kernel(64))
+        args = ["eval", "--checkpoint", str(tmp_path / "k.lcvk"), "--data", str(data),
+                "--out", str(tmp_path / "m.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
+            assert main(args) == 0
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        frame = 8 * 64 * 64 * 64
+        assert peak <= 7.25 * frame
+
 
 class TestSweep:
     def test_writes_reports(self, tmp_path, tiny_config):
@@ -548,6 +574,21 @@ class TestGradcheckCommand:
     def test_malformed_tolerance_exits_1(self, capsys, tolerance):
         assert main(["gradcheck", "--tolerance", tolerance]) == 1
         assert "tolerance" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    # Exit 2 is kept for numerical failures, so a malformed command line
+    # exits 1 like any other malformed input.
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--eps", "-1e-5"],
+        ["eval"],
+        ["train", "--config"],
+    ], ids=["exponent-form-negative-value", "required-options-missing", "option-without-value"])
+    def test_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 1
+        assert "usage: lcv" in capsys.readouterr().err
 
 
 REPO = Path(__file__).resolve().parents[1]

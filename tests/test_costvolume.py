@@ -7,7 +7,9 @@ either derived in-test by a brute-force oracle or computed by hand.
 """
 
 import math
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -440,6 +442,16 @@ class TestTensorFiles:
         rank = len(shape)
         path.write_bytes(struct.pack(f"<4sBB{rank}I", b"LCVT", 1, rank, *shape))
         with pytest.raises(ValueError, match="big.lcvt"):
+            read_tensor(path)
+
+    def test_short_read_of_the_payload_rejected(self, tmp_path, monkeypatch):
+        # A file that shrinks after its size was taken reads short.
+        path = tmp_path / "s.lcvt"
+        write_tensor(path, np.ones((3, 3)))
+        path.write_bytes(path.read_bytes()[:-4])
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 4))
+        with pytest.raises(ValueError, match="truncated payload"):
             read_tensor(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

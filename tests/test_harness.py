@@ -23,6 +23,7 @@ from lcv.costvolume import (
     cost_volume_bilinear,
     decode_flow_argmax,
     epe,
+    fl_all,
     vanilla_cost_volume,
 )
 from lcv.harness import (
@@ -157,6 +158,32 @@ class TestGenerate:
             SyntheticSpec(signal_channels=2, noise_channels=0, mixing=np.eye(3))
 
 
+def _ref_perturb(f, p, seed, signal_channels=None):
+    """The earlier formulation of :func:`perturb`: copy, gamma curve, then
+    ``+= rng.normal(0, s)``, then the disc."""
+    data = np.array(f)
+    c, h, w = data.shape
+    cs = c if signal_channels is None else signal_channels
+    rng = np.random.default_rng(seed)
+    if p.gamma != 1.0:
+        for ch in range(cs):
+            lo = data[ch].min()
+            hi = data[ch].max()
+            if hi > lo:
+                x = (data[ch] - lo) / (hi - lo)
+                data[ch] = lo + (hi - lo) * x**p.gamma
+    if p.noise_std > 0.0:
+        data += rng.normal(0.0, p.noise_std, data.shape)
+    if p.patch_radius > 0:
+        r = p.patch_radius
+        cy = int(rng.integers(r, h - r))
+        cx = int(rng.integers(r, w - r))
+        yy, xx = np.ogrid[:h, :w]
+        mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+        data[:, mask] = rng.standard_normal((c, int(mask.sum())))
+    return data
+
+
 class TestPerturb:
     def setup_method(self):
         self.f = generate(TINY)[1]
@@ -220,6 +247,22 @@ class TestPerturb:
         c = perturb(self.f, p, seed=22).data
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.4, 2.5])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.3])
+    @pytest.mark.parametrize("patch_radius", [0, 2])
+    @pytest.mark.parametrize("signal_channels", [None, 0, 2, 5])
+    def test_bitwise_the_reference_formulation(self, gamma, noise_std, patch_radius,
+                                               signal_channels):
+        # Negative and positive zeros, and a flat channel the curve skips.
+        rng = np.random.default_rng(31)
+        data = rng.standard_normal((5, 9, 11))
+        data[rng.random(data.shape) < 0.2] = -0.0
+        data[rng.random(data.shape) < 0.1] = 0.0
+        data[3] = -0.0
+        p = PerturbSpec(gamma=gamma, noise_std=noise_std, patch_radius=patch_radius)
+        got = perturb(FeatureMap(data), p, seed=17, signal_channels=signal_channels).data
+        assert _bits(got) == _bits(_ref_perturb(data, p, seed=17, signal_channels=signal_channels))
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -433,8 +476,41 @@ class TestMatchingEngine:
         ident = identity_kernel(f1.channels)
         plain = vanilla_cost_volume(f1, f2, u, v)
         assert _bits(cost_volume_bilinear(f1, f2, ident.W, u, v).data) == _bits(plain.data)
-        scores = score_pair(f1, f2, gt, ident, ident, (u, v))
-        assert _bits(scores["aepe_identity"]) == _bits(epe(decode_flow_argmax(plain), gt))
+        # The learned side decodes the identity kernel through its product.
+        scores = score_pair(f1, f2, gt, ident, (u, v))
+        flow = decode_flow_argmax(plain)
+        for name in ("identity", "learned"):
+            assert _bits(scores[f"aepe_{name}"]) == _bits(epe(flow, gt))
+            assert _bits(scores[f"fl_{name}"]) == _bits(fl_all(flow, gt))
+
+    @pytest.mark.parametrize("c, h, w, u, v, integer", [
+        (1, 1, 1, 1, 1, False),
+        (3, 5, 7, 3, 5, True),
+        (4, 17, 16, 7, 3, False),
+        (8, 20, 20, 9, 9, True),
+        (16, 24, 33, 9, 9, False),
+    ])
+    def test_identity_decode_skips_the_product(self, c, h, w, u, v, integer):
+        # Integer features make exact cost ties, which the decode breaks.
+        rng = np.random.default_rng(c * h + w)
+        draw = ((lambda: rng.integers(-2, 3, (c, h, w)).astype(float)) if integer
+                else (lambda: rng.standard_normal((c, h, w))))
+        f1, f2 = FeatureMap(draw()), FeatureMap(draw())
+        ru, rv = (u - 1) // 2, (v - 1) // 2
+        gt = FlowField(np.stack([rng.integers(-rv, rv + 1, (h, w)),
+                                 rng.integers(-ru, ru + 1, (h, w))]).astype(float))
+        problem = _MatchingProblem(f1, f2, gt, (u, v))
+        flow = problem.decode(None)
+        assert _bits(flow.data) == _bits(problem.decode(np.eye(c)).data)
+        plain = decode_flow_argmax(vanilla_cost_volume(f1, f2, u, v))
+        assert _bits(flow.data) == _bits(plain.data)
+        learned = assemble_kernel(SkewParams(rng.uniform(-0.5, 0.5, c * (c - 1) // 2), c),
+                                  DiagParams(rng.uniform(-0.5, 0.5, c)))
+        scores = score_pair(f1, f2, gt, learned, (u, v))
+        assert _bits(scores["aepe_identity"]) == _bits(epe(plain, gt))
+        assert _bits(scores["fl_identity"]) == _bits(fl_all(plain, gt))
+        learned_flow = decode_flow_argmax(cost_volume_bilinear(f1, f2, learned.W, u, v))
+        assert _bits(scores["aepe_learned"]) == _bits(epe(learned_flow, gt))
 
     def test_non_finite_costs_are_numerical_errors(self):
         f = FeatureMap(np.full((1, 3, 3), 1e200))

@@ -4,7 +4,8 @@
 
 For each tree and each optimizer mode (``cayley``, ``stiefel``) it runs
 ``lcv generate``, ``lcv train``, ``lcv eval`` (on the trained checkpoint)
-and ``lcv sweep`` on one small fixed config, and once per tree it runs
+and ``lcv sweep`` on one small fixed config, whose perturbation (gamma,
+noise and a disc) ``lcv eval`` applies, and once per tree it runs
 ``lcv gradcheck`` and writes its stdout to ``gradcheck.txt``.  Each tree's
 own ``src`` comes first on ``PYTHONPATH``, and BLAS runs on one thread
 unless the environment sets otherwise.  Every file written must match the
@@ -28,6 +29,8 @@ MODES = ("cayley", "stiefel")
 CONFIG = {
     "synthetic": {"height": 16, "width": 16, "signal_channels": 3, "noise_channels": 3,
                   "max_displacement": 1, "seed": 7},
+    # ``lcv eval`` perturbs the second frame; the sweep sets its own points.
+    "perturb": {"gamma": 0.7, "noise_std": 0.05, "patch_radius": 2},
     "optimizer": {"learning_rate": 0.01, "max_steps": 40},
     "window": [3, 3],
     "instances": 5,
