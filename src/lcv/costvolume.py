@@ -93,9 +93,11 @@ def _check_pair(f1: FeatureMap, f2: FeatureMap, u: int, v: int) -> None:
 # Pixels per row tile of the correlation GEMMs.  Of 4, 8, 16 and 32, 8 was
 # fastest at c=64, 64x64, 9x9 and tied at c=16, 32x32, 5x5.
 _TILE = 8
-# Image rows per batched GEMM.  One chunk's blocks take 590 KB at c=64,
-# 64x64, 9x9, where a whole frame's would take 4.7 MB.
-_CHUNK = 8
+# Bytes of one chunk's GEMM blocks, which set the image rows per batched
+# GEMM.  The budget holds 8 rows at c=64, 64x64, 9x9, where a whole frame's
+# blocks would take 4.7 MB, and a whole c=16, 32x32, 5x5 frame (15,360 bytes
+# a row), whose per-chunk numpy calls would cost more than its GEMMs.
+_CHUNK_BYTES = 589_824
 
 
 class _Workspace:
@@ -127,8 +129,13 @@ class _Frames:
     holds the second frame, zero-padded by ``(u - 1) / 2`` rows and
     ``(v - 1) / 2`` columns on each side, as one overlapping column strip
     per row tile: ``strips[t, i + k, x + l]`` is the target of pixel
-    ``(i, t * _TILE + x)`` under window cell ``(k, l)``.  ``workspace`` is
-    a fresh one when None.
+    ``(i, t * _TILE + x)`` under window cell ``(k, l)``.  ``targets`` is a
+    read-only view ``(nt, h, u * (_TILE + v - 1), c)`` of the strips whose
+    ``[t, i]`` holds strip ``t``'s rows ``i`` to ``i + u - 1`` end to end:
+    every target of row tile ``(i, t)``, under cell ``(k, l)`` for pixel
+    ``x`` at ``k * (_TILE + v - 1) + x + l``.  ``rows`` is the image rows
+    per chunk, as many as ``_CHUNK_BYTES`` holds of the GEMM blocks (at
+    least one).  ``workspace`` is a fresh one when None.
     """
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, u: int, v: int,
@@ -144,17 +151,12 @@ class _Frames:
             lo = t * _TILE - rv  # frame column at strip column 0
             j0, j1 = max(0, -lo), min(sw, w - lo)
             self.strips[t, ru : ru + h, j0:j1] = f2[:, :, lo + j0 : lo + j1].transpose(1, 2, 0)
+        self.targets = np.ndarray((nt, h, u * sw, c), self.strips.dtype, self.strips,
+                                  strides=self.strips.strides)
+        self.targets.flags.writeable = False
+        self.rows = max(1, _CHUNK_BYTES // (self.strips.itemsize * nt * _TILE * u * sw))
         self.u, self.v, self.h, self.w = u, v, h, w
         self.workspace = _Workspace() if workspace is None else workspace
-
-    def targets(self) -> np.ndarray:
-        """Read-only view ``(nt, h, u * (_TILE + v - 1), c)`` whose ``[t, i]`` holds
-        strip ``t``'s rows ``i`` to ``i + u - 1`` end to end: every target of
-        row tile ``(i, t)``, under cell ``(k, l)`` for pixel ``x`` at
-        ``k * (_TILE + v - 1) + x + l``."""
-        nt, _, sw, c = self.strips.shape
-        return np.lib.stride_tricks.as_strided(
-            self.strips, (nt, self.h, self.u * sw, c), self.strips.strides, writeable=False)
 
 
 def _bands(blocks: np.ndarray, u: int, v: int) -> np.ndarray:
@@ -162,13 +164,12 @@ def _bands(blocks: np.ndarray, u: int, v: int) -> np.ndarray:
     whose entry ``[k, l, i, t, x]`` is ``blocks[t, i, x, k * (_TILE + v - 1) + x + l]``:
     pixel ``x`` of row tile ``(i, t)`` under window cell ``(k, l)``."""
     st, si, sx, sj = blocks.strides
-    return np.lib.stride_tricks.as_strided(
-        blocks, (u, v, blocks.shape[1], blocks.shape[0], _TILE),
-        ((_TILE + v - 1) * sj, sj, si, st, sx + sj))
+    return np.ndarray((u, v, blocks.shape[1], blocks.shape[0], _TILE), blocks.dtype, blocks,
+                      strides=((_TILE + v - 1) * sj, sj, si, st, sx + sj))
 
 
 def _window_costs(frames: _Frames, W: np.ndarray | None, out: np.ndarray | None = None):
-    """Costs of ``frames`` under ``W``, ``_CHUNK`` image rows at a time.
+    """Costs of ``frames`` under ``W``, ``frames.rows`` image rows at a time.
 
     Yields ``(i0, i1, costs)``, ``costs`` ``(u * v, i1 - i0, wt)`` being rows
     ``i0:i1`` of ``out`` ``(u * v, h, wt)`` when given, else one workspace
@@ -187,9 +188,9 @@ def _window_costs(frames: _Frames, W: np.ndarray | None, out: np.ndarray | None 
         f1t = np.matmul(f1t.reshape(h * wt, c), W, out=ws("frame", (h * wt, c))).reshape(h, wt, c)
     nt = wt // _TILE
     tiles = f1t.reshape(h, nt, _TILE, c).swapaxes(0, 1)
-    targets = frames.targets().swapaxes(-1, -2)
-    for i0 in range(0, h, _CHUNK):
-        i1 = min(i0 + _CHUNK, h)
+    targets = frames.targets.swapaxes(-1, -2)
+    for i0 in range(0, h, frames.rows):
+        i1 = min(i0 + frames.rows, h)
         blocks = np.matmul(tiles[:, i0:i1], targets[:, i0:i1],
                            out=ws("blocks", (nt, i1 - i0, _TILE, targets.shape[-1])))
         costs = ws("costs", (u * v, i1 - i0, wt)) if out is None else out[:, i0:i1]
@@ -210,15 +211,14 @@ def _window_targets(frames: _Frames, dC: np.ndarray) -> np.ndarray:
     """
     u, v, h, wt = dC.shape
     nt, _, sw, c = frames.strips.shape
-    targets = frames.targets()
     B = frames.workspace("frame", (h, wt, c))
     tiles = B.reshape(h, nt, _TILE, c).swapaxes(0, 1)
-    for i0 in range(0, h, _CHUNK):
-        i1 = min(i0 + _CHUNK, h)
+    for i0 in range(0, h, frames.rows):
+        i1 = min(i0 + frames.rows, h)
         blocks = frames.workspace("blocks", (nt, i1 - i0, _TILE, u * sw))
         blocks.fill(0.0)
         _bands(blocks, u, v)[...] = dC[:, :, i0:i1].reshape(u, v, i1 - i0, nt, _TILE)
-        np.matmul(blocks, targets[:, i0:i1], out=tiles[:, i0:i1])
+        np.matmul(blocks, frames.targets[:, i0:i1], out=tiles[:, i0:i1])
     return B[:, : frames.w].reshape(-1, c)
 
 
@@ -308,10 +308,15 @@ def _winners(costs: np.ndarray, best: np.ndarray, order: np.ndarray,
     return order[n - hits.max(axis=0)]
 
 
+def _cell_offsets(cells: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer (horizontal, vertical) displacements of the row-major window
+    cells ``cells`` ``(h, w)``."""
+    return cells % v - (v - 1) // 2, cells // v - (u - 1) // 2
+
+
 def _cell_flow(cells: np.ndarray, u: int, v: int) -> FlowField:
     """Flow of the row-major window cells ``cells`` ``(h, w)``."""
-    flow_v = cells // v - (u - 1) // 2
-    flow_h = cells % v - (v - 1) // 2
+    flow_h, flow_v = _cell_offsets(cells, u, v)
     return FlowField(np.stack([flow_h.astype(float), flow_v.astype(float)]))
 
 
@@ -333,8 +338,15 @@ def epe(pred: FlowField, gt: FlowField) -> float:
         raise ValueError(
             f"epe: flow shapes disagree, {pred.data.shape} vs {gt.data.shape}"
         )
-    diff = pred.data - gt.data
-    return float(np.mean(np.sqrt(diff[0] ** 2 + diff[1] ** 2)))
+    return _endpoint_error(pred.data[0], pred.data[1], gt.data)
+
+
+def _endpoint_error(flow_h: np.ndarray, flow_v: np.ndarray, gt: np.ndarray) -> float:
+    """Mean Euclidean distance of the flow planes ``flow_h``, ``flow_v``
+    ``(h, w)`` from the flow ``gt`` ``(2, h, w)``: the formula of :func:`epe`."""
+    dh = flow_h - gt[0]
+    dv = flow_v - gt[1]
+    return float(np.mean(np.sqrt(dh ** 2 + dv ** 2)))
 
 
 def fl_all(pred: FlowField, gt: FlowField) -> float:

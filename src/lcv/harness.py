@@ -28,8 +28,10 @@ from .costvolume import (
     FeatureMap,
     FlowField,
     _cell_flow,
+    _cell_offsets,
     _cells_by_magnitude,
     _check_pair,
+    _endpoint_error,
     _Frames,
     _window_costs,
     _window_targets,
@@ -227,31 +229,33 @@ def perturb(
     return FeatureMap(data)
 
 
-def _labels(gt: FlowField, u: int, v: int) -> np.ndarray:
-    """Row-major window cell of every pixel's ground-truth displacement."""
+def _label_picks(gt: FlowField, u: int, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index of every pixel's ground-truth cell in logits ``(u * v, h, w)``:
+    the row-major window cell, then the pixel's row and column."""
     ru, rv = (u - 1) // 2, (v - 1) // 2
     dx = np.rint(gt.data[0]).astype(int)
     dy = np.rint(gt.data[1]).astype(int)
     if np.any(np.abs(dx) > rv) or np.any(np.abs(dy) > ru):
         raise ValueError("matching_loss: ground-truth flow falls outside the window")
-    return (dy + ru) * v + (dx + rv)
+    h, w = dx.shape
+    return (dy + ru) * v + (dx + rv), np.arange(h)[:, None], np.arange(w)[None, :]
 
 
-def _softmax_xent(Z: np.ndarray, best: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of the logits ``Z`` ``(cells, h, w)`` against ``labels``.
+def _softmax_xent(Z: np.ndarray, best: np.ndarray, picks: tuple) -> float:
+    """Mean cross-entropy of the logits ``Z`` ``(cells, h, w)`` against the
+    labels that ``picks`` (from :func:`_label_picks`) index.
 
     ``best`` is the per-pixel maximum of ``Z``.  Works in place: on return
     ``Z`` holds the gradient of the mean loss with respect to every logit.
     """
     Z -= best
-    picked = np.take_along_axis(Z, labels[None], axis=0)[0]
+    picked = Z[picks]
     np.exp(Z, out=Z)
     denom = Z.sum(axis=0)
     loss = float(-(picked - np.log(denom)).mean())
     Z /= denom
-    hit = np.take_along_axis(Z, labels[None], axis=0) - 1.0
-    np.put_along_axis(Z, labels[None], hit, axis=0)
-    Z /= labels.size
+    Z[picks] -= 1.0
+    Z /= best.size
     return loss
 
 
@@ -263,9 +267,9 @@ def matching_loss(cv, gt: FlowField) -> tuple[float, np.ndarray]:
     gradient with respect to every cost entry.
     """
     u, v, h, w = cv.data.shape
-    labels = _labels(gt, u, v)
+    picks = _label_picks(gt, u, v)
     Z = cv.data.reshape(u * v, h, w).copy()
-    loss = _softmax_xent(Z, Z.max(axis=0), labels)
+    loss = _softmax_xent(Z, Z.max(axis=0), picks)
     return loss, Z.reshape(u, v, h, w)
 
 
@@ -287,8 +291,8 @@ class _MatchingProblem:
     What does not depend on ``W`` is prepared once: the window cells in
     decoding order, the :class:`_Frames` (the kernel goes onto the first
     frame, so the second frame's strips serve every forward and backward)
-    and, at the first gradient, the labels.  The buffers the
-    engine writes stay in ``workspace``, which problems may share.
+    and, at the first gradient, the index of the labels in the costs.  The
+    buffers the engine writes stay in ``workspace``, which problems may share.
     ``loss_grad`` runs the forward once and takes the decode, the loss
     and the gradient from that one cost tensor; ``decode`` consumes the
     costs a chunk of rows at a time and never holds them all.
@@ -302,7 +306,7 @@ class _MatchingProblem:
         self.u, self.v = u, v
         self.order = _cells_by_magnitude(u, v)
         self._frames = _Frames(f1.data, f2.data, u, v, workspace)
-        self._labels = None
+        self._picks = None
 
     def _cells(self, costs: np.ndarray, best: np.ndarray) -> np.ndarray:
         """Decoded cells of ``costs`` ``(u * v, rows, w)``, whose per-pixel
@@ -334,15 +338,16 @@ class _MatchingProblem:
         """Mean matching loss, its gradient on ``W`` and the AEPE of the decode."""
         u, v = self.u, self.v
         _, h, w = self.f1.shape
-        if self._labels is None:
-            self._labels = _labels(self.gt, u, v)
+        if self._picks is None:
+            self._picks = _label_picks(self.gt, u, v)
         wt = self._frames.f1t.shape[1]
         Z = self._frames.workspace("costs", (u * v, h, wt))
         for _ in self._costs(W, Z):
             pass
         best = np.empty((h, w))
-        aepe = epe(_cell_flow(self._cells(Z[..., :w], best), u, v), self.gt)
-        loss = _softmax_xent(Z[..., :w], best, self._labels)
+        flow_h, flow_v = _cell_offsets(self._cells(Z[..., :w], best), u, v)
+        aepe = _endpoint_error(flow_h, flow_v, self.gt.data)
+        loss = _softmax_xent(Z[..., :w], best, self._picks)
         return loss, _grad_w_from_costs(self.f1, self._frames, Z.reshape(u, v, h, wt)), aepe
 
 
@@ -357,6 +362,8 @@ def train_kernel(
     instances: list[tuple[FeatureMap, FeatureMap, FlowField]],
     opt: OptimizerConfig,
     window: tuple[int, int],
+    *,
+    _workspace: _Workspace | None = None,
 ) -> tuple[SPDKernel, list[StepRecord]]:
     """Full-batch gradient descent from the identity kernel.
 
@@ -371,7 +378,7 @@ def train_kernel(
     if not instances:
         raise ValueError("train_kernel: need at least one instance")
     # One workspace serves every problem: they run one at a time.
-    workspace = _Workspace()
+    workspace = _Workspace() if _workspace is None else _workspace
     problems = [_MatchingProblem(f1, f2, gt, window, workspace) for f1, f2, gt in instances]
     c = instances[0][0].channels
     kernel = identity_kernel(c)
@@ -452,13 +459,14 @@ _METRIC_NAMES = ("aepe_identity", "aepe_learned", "fl_identity", "fl_learned")
 
 def score_pair(
     f1: FeatureMap, f2: FeatureMap, gt: FlowField, learned: SPDKernel, window: tuple[int, int],
+    *, _workspace: _Workspace | None = None,
 ) -> dict[str, float]:
     """AEPE and Fl-all of one pair decoded under ``W = I`` and under ``learned``.
 
     The identity decode is the vanilla inner product, with no ``f1^T W``
     product.  Keys are the metric fields of :class:`ExperimentResult`.
     """
-    problem = _MatchingProblem(f1, f2, gt, window)
+    problem = _MatchingProblem(f1, f2, gt, window, _workspace)
     scores = {}
     for name, W in (("identity", None), ("learned", learned.W)):
         flow = problem.decode(W)
@@ -478,12 +486,13 @@ def _train_and_score(
 
     Each point perturbs the second frame of every held-out instance with
     that instance's own perturbation seed, so every point sees the same
-    corruption draws.
+    corruption draws.  Training and scoring write into one workspace.
     """
     check_window(window, spec.max_displacement)
     data, seeds = experiment_instances(spec, instances)
     n_train, n_eval = _split(instances)
-    learned, records = train_kernel(data[:n_train], opt, window)
+    workspace = _Workspace()
+    learned, records = train_kernel(data[:n_train], opt, window, _workspace=workspace)
 
     results = []
     for p in points:
@@ -491,7 +500,8 @@ def _train_and_score(
         for j, (f1, f2, gt) in enumerate(data[n_train:]):
             f2p = perturb(f2, p, seed=int(seeds[instances + n_train + j]),
                           signal_channels=spec.signal_channels)
-            for name, value in score_pair(f1, f2p, gt, learned, window).items():
+            for name, value in score_pair(f1, f2p, gt, learned, window,
+                                          _workspace=workspace).items():
                 sums[name] += value
         results.append(ExperimentResult(
             **{name: total / n_eval for name, total in sums.items()},

@@ -1,11 +1,14 @@
-"""The comparison of ``tools/byte_identity.py`` on canned output directories;
-the CLI is not run."""
+"""The comparison of ``tools/byte_identity.py`` on canned output directories,
+and its perturbed-frame digest; the CLI is not run."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
+
+import lcv
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
 _spec = importlib.util.spec_from_file_location("byte_identity", TOOL)
@@ -76,3 +79,27 @@ def test_main_exits_nonzero_naming_each_differing_file(tmp_path, monkeypatch, ca
     out = capsys.readouterr().out
     assert ("differs: stiefel/sweep/results.csv" in out) == bool(changed)
     assert f"{len(FILES)} files compared" in out
+
+
+def test_a_perturbation_below_the_decode_is_reported(tmp_path):
+    # A tree whose noise is scaled by 1 + 2**-50 moves no decoded match of
+    # the recipe, but the perturbed frame's digest still differs.
+    repo = TOOL.parents[1]
+    data = tmp_path / "data"
+    data.mkdir()
+    spec = lcv.SyntheticSpec(**byte_identity.CONFIG["synthetic"])
+    lcv.write_tensor(data / "f2.lcvt", lcv.generate(spec)[1].data)
+    scaled = tmp_path / "scaled"
+    shutil.copytree(repo / "src" / "lcv", scaled / "src" / "lcv")
+    harness = scaled / "src" / "lcv" / "harness.py"
+    source = harness.read_text()
+    assert source.count("data *= p.noise_std\n") == 1
+    harness.write_text(source.replace("data *= p.noise_std\n", "data *= p.noise_std * (1 + 2**-50)\n"))
+
+    outs = {}
+    for side, tree in (("a", repo), ("b", repo), ("scaled", scaled)):
+        outs[side] = tmp_path / "out" / side
+        outs[side].mkdir(parents=True)
+        byte_identity.write_perturbed_digest(tree, data, outs[side] / "perturbed_f2.sha256")
+    assert byte_identity.differences(outs["a"], outs["b"]) == []
+    assert byte_identity.differences(outs["a"], outs["scaled"]) == ["perturbed_f2.sha256"]

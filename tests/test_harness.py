@@ -10,14 +10,17 @@ import csv
 import json
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcv import costvolume
 from lcv.cayley import DiagParams, NumericalError, SkewParams, dlambda_dt
 from lcv.costvolume import (
+    _TILE,
     FeatureMap,
     FlowField,
     cost_volume_bilinear,
@@ -31,6 +34,7 @@ from lcv.harness import (
     PerturbSpec,
     SyntheticSpec,
     _MatchingProblem,
+    _Workspace,
     experiment_instances,
     generate,
     matching_loss,
@@ -392,16 +396,28 @@ COST_RTOL = 1e-14
 GRAD_RTOL = 1e-12
 
 
+def _row_bytes(w, u, v):
+    """Bytes of one image row's GEMM blocks, the unit of the chunk budget."""
+    return 8 * _TILE * max(1, -(-w // _TILE)) * u * (_TILE + v - 1)
+
+
+def _budget(nbytes):
+    """Engine calls on problems made inside this context chunk rows by ``nbytes``."""
+    return mock.patch.object(costvolume, "_CHUNK_BYTES", nbytes)
+
+
 @st.composite
 def matching_cases(draw, integer):
     """Small pairs with odd, possibly unequal window sides and integer flow
     anywhere in the window, border included.  Sides run up to the paper's
     9, whose 16-column strips span two tiles.  Widths run past two tiles
     of the correlation, with whole tiles and partial ones, and heights
-    past two of its row chunks, with whole chunks and partial ones.
-    ``integer`` draws integer features and an integer ``W``, which make
-    every sum exact and exact cost ties common; otherwise both are real.
-    ``W`` is not symmetric, so applying ``W^T`` for ``W`` shows."""
+    past two 8-row chunks, with whole chunks and partial ones (the
+    default budget fits each case in one chunk; :func:`_check_engine`
+    also runs 1- and 3-row chunks).  ``integer`` draws integer features
+    and an integer ``W``, which make every sum exact and exact cost ties
+    common; otherwise both are real.  ``W`` is not symmetric, so applying
+    ``W^T`` for ``W`` shows."""
     c = draw(st.integers(1, 4))
     h = draw(st.integers(1, 19) | st.sampled_from([8, 9, 16, 17]))
     w = draw(st.integers(1, 17) | st.sampled_from([8, 16]))
@@ -427,24 +443,31 @@ def _check_engine(f1, f2, gt, W, u, v):
 
     Everything downstream of the costs (loss, decode, AEPE) must be
     bitwise what the reference computes from the engine's own costs; the
-    costs and ``dW`` must be within rounding of the reference."""
+    costs and ``dW`` must be within rounding of the reference.  Chunks of
+    1 and 3 rows must give every output of the default chunks bitwise."""
     cv = cost_volume_bilinear(FeatureMap(f1), FeatureMap(f2), W, u, v)
     costs = cv.data
     loss, dC = _ref_loss(costs, gt)
     flow = _ref_decode(costs)
     aepe = epe(FlowField(flow), FlowField(gt))
-
-    problem = _MatchingProblem(FeatureMap(f1), FeatureMap(f2), FlowField(gt), (u, v))
-    got_loss, got_dW, got_aepe = problem.loss_grad(W)
-    assert _bits(got_loss) == _bits(loss)
-    assert _bits(got_aepe) == _bits(aepe)
-    # A second evaluation reuses the prepared frames.
-    assert _bits(problem.loss_grad(W)[1]) == _bits(got_dW)
-    assert _bits(problem.decode(W).data) == _bits(flow)
     assert _bits(decode_flow_argmax(cv).data) == _bits(flow)
     public_loss, public_dC = matching_loss(cv, FlowField(gt))
     assert _bits(public_loss) == _bits(loss)
     assert _bits(public_dC) == _bits(dC)
+
+    got_dWs = []
+    for budget in (costvolume._CHUNK_BYTES, 1, 3 * _row_bytes(f1.shape[2], u, v)):
+        with _budget(budget):
+            problem = _MatchingProblem(FeatureMap(f1), FeatureMap(f2), FlowField(gt), (u, v))
+            got_loss, got_dW, got_aepe = problem.loss_grad(W)
+            assert _bits(got_loss) == _bits(loss)
+            assert _bits(got_aepe) == _bits(aepe)
+            # A second evaluation reuses the prepared frames.
+            assert _bits(problem.loss_grad(W)[1]) == _bits(got_dW)
+            assert _bits(problem.decode(W).data) == _bits(flow)
+            assert _bits(cost_volume_bilinear(FeatureMap(f1), FeatureMap(f2), W, u, v).data) == _bits(costs)
+        got_dWs.append(_bits(got_dW))
+    assert got_dWs[1] == got_dWs[0] and got_dWs[2] == got_dWs[0]
 
     ref = _ref_costs(f1, f2, W, u, v)
     scale = _ref_costs(np.abs(f1), np.abs(f2), np.abs(W), u, v)
@@ -524,11 +547,34 @@ class TestMatchingEngine:
         with pytest.raises(ValueError, match="W shape"):
             problem.decode(np.eye(3))
 
+    def test_outputs_do_not_depend_on_the_chunk_budget(self):
+        # 23 rows are 23 chunks of 1 row, 8 of 3 rows (the last partial) or
+        # one chunk; 21 columns end in a partial tile.
+        c, h, w, u, v = 5, 23, 21, 7, 5
+        rng = np.random.default_rng(29)
+        f1, f2 = (FeatureMap(rng.standard_normal((c, h, w))) for _ in range(2))
+        gt = FlowField(np.stack([rng.integers(-2, 3, (h, w)), rng.integers(-3, 4, (h, w))]).astype(float))
+        W = rng.standard_normal((c, c)) + np.eye(c)
+        outputs = []
+        for rows in (1, 3, h):
+            with _budget(rows * _row_bytes(w, u, v)):
+                problem = _MatchingProblem(f1, f2, gt, (u, v))
+            assert problem._frames.rows == rows
+            loss, dW, aepe = problem.loss_grad(W)
+            outputs.append([_bits(x) for x in (loss, dW, aepe, problem.decode(W).data,
+                                                problem.decode(None).data)])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_default_budget_takes_a_desk_frame_whole_and_paper_scale_by_8_rows(self):
+        desk, paper = np.zeros((16, 32, 32)), np.zeros((64, 64, 64))
+        assert costvolume._Frames(desk, desk, 5, 5).rows >= 32
+        assert costvolume._Frames(paper, paper, 9, 9).rows == 8
+
     @pytest.mark.parametrize("method", ["loss_grad", "decode"])
     def test_repeated_calls_allocate_less_than_half_a_cost_tensor(self, method):
         # The engine keeps the buffers it writes, so once warm a call makes
-        # only per-pixel arrays and chunk-sized scratch.  40 rows are five
-        # chunks, and 36 columns end in a partial tile.
+        # only per-pixel arrays and chunk-sized scratch.  40 rows are four
+        # chunks of at most 12, and 36 columns end in a partial tile.
         c, h, w, u, v = 8, 40, 36, 9, 9
         rng = np.random.default_rng(5)
         f1, f2 = (FeatureMap(rng.standard_normal((c, h, w))) for _ in range(2))
@@ -608,15 +654,21 @@ class TestTraining:
         assert np.array_equal(kernel.W, ref_kernel.W)
         assert [(r.step, r.loss, r.grad_norm) for r in records] == ref_records
 
-    @pytest.mark.parametrize("mode", ["cayley", "stiefel"])
-    def test_instances_of_different_sizes_match_reference_loop(self, mode):
+    @pytest.mark.parametrize("mode, budget", [
+        pytest.param(mode, budget, id=mode + suffix)
+        for suffix, budget in (("", None), ("-1_row", 1), ("-3_rows_of_the_widest", 3 * _row_bytes(19, 3, 3)))
+        for mode in ("cayley", "stiefel")])
+    def test_instances_of_different_sizes_match_reference_loop(self, mode, budget):
         # Every problem of a run writes into one workspace.  Here it serves a
         # 3x5 frame, then a 17x9 one and a 9x19 one: its buffers must grow,
         # and what one geometry left in them must not leak into another.
+        # Under the smaller budgets the frames take 1 row a chunk, or 9, 4
+        # and 3 rows, so chunks differ in size between the problems too.
         opt = OptimizerConfig(learning_rate=0.05, max_steps=6, grad_tolerance=1e-9, mode=mode)
         data = [generate(replace(TINY, height=h, width=w, seed=seed))
                 for h, w, seed in ((3, 5, 3), (17, 9, 1), (9, 19, 2))]
-        kernel, records = train_kernel(data, opt, (3, 3))
+        with _budget(costvolume._CHUNK_BYTES if budget is None else budget):
+            kernel, records = train_kernel(data, opt, (3, 3))
         ref_kernel, ref_records = reference_train(data, opt, (3, 3))
         assert np.array_equal(kernel.W, ref_kernel.W)
         assert [(r.step, r.loss, r.grad_norm) for r in records] == ref_records
@@ -695,6 +747,25 @@ class TestExperiment:
         np.testing.assert_array_equal(seeds, seeds2)
         for (a1, a2, af), (b1, b2, bf) in zip(data, again):
             np.testing.assert_array_equal(a1.data, b1.data)
+
+
+    def test_a_shared_workspace_scores_as_fresh_ones(self):
+        # One workspace serves training and scoring at two geometries in
+        # turn, the second wider and under a larger window.
+        workspace = _Workspace()
+        p = PerturbSpec(gamma=0.7, noise_std=0.3)
+        for spec, window in ((replace(TINY, height=17, width=9), (3, 3)),
+                             (replace(TINY, height=10, width=21, max_displacement=2), (5, 5))):
+            data, seeds = experiment_instances(spec, 3)
+            learned, _ = train_kernel(data[:2], FAST_OPT, window, _workspace=workspace)
+            assert np.array_equal(learned.W, train_kernel(data[:2], FAST_OPT, window)[0].W)
+            f1, f2, gt = data[2]
+            f2p = perturb(f2, p, seed=int(seeds[5]), signal_channels=spec.signal_channels)
+            shared = score_pair(f1, f2p, gt, learned, window, _workspace=workspace)
+            fresh = score_pair(f1, f2p, gt, learned, window)
+            assert {k: _bits(x) for k, x in shared.items()} == {k: _bits(x) for k, x in fresh.items()}
+            result = run_experiment(spec, p, FAST_OPT, window, instances=3)
+            assert [_bits(getattr(result, k)) for k in fresh] == [_bits(x) for x in fresh.values()]
 
 
 class TestSweep:

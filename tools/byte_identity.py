@@ -6,7 +6,10 @@ For each tree and each optimizer mode (``cayley``, ``stiefel``) it runs
 ``lcv generate``, ``lcv train``, ``lcv eval`` (on the trained checkpoint)
 and ``lcv sweep`` on one small fixed config, whose perturbation (gamma,
 noise and a disc) ``lcv eval`` applies, and once per tree it runs
-``lcv gradcheck`` and writes its stdout to ``gradcheck.txt``.  Each tree's
+``lcv gradcheck`` and writes its stdout to ``gradcheck.txt``.  Once per
+tree it also writes ``perturbed_f2.sha256``, the SHA-256 of the bytes of
+the second frame as ``lcv eval`` perturbs it, which a change to
+``perturb`` that moves no decoded match still shows.  Each tree's
 own ``src`` comes first on ``PYTHONPATH``, and BLAS runs on one thread
 unless the environment sets otherwise.  Every file written must match the
 other tree's.  The train log is compared with ``wall_ms`` dropped from each
@@ -39,18 +42,43 @@ CONFIG = {
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_recipe(tree: Path, out: Path) -> None:
-    """Write every mode's outputs from ``tree`` under ``out/<mode>``, and
-    ``lcv gradcheck``'s report to ``out/gradcheck.txt``."""
+# Prints the SHA-256 of the second frame in ``argv[1]`` under the
+# perturbation ``lcv eval`` applies with ``CONFIG``, given as ``argv[2]``.
+PERTURBED_DIGEST = """
+import hashlib, json, sys
+import lcv
+cfg = json.loads(sys.argv[2])
+f2 = lcv.FeatureMap(lcv.read_tensor(sys.argv[1]))
+f2p = lcv.perturb(f2, lcv.PerturbSpec(**cfg["perturb"]), seed=cfg["synthetic"]["seed"],
+                  signal_channels=cfg["synthetic"]["signal_channels"])
+print(hashlib.sha256(f2p.data.tobytes()).hexdigest())
+"""
+
+
+def python(tree: Path, *args, label) -> str:
+    """Stdout of ``python *args`` with ``tree``'s own ``src`` first on
+    ``PYTHONPATH``; exits naming ``label`` when the command fails."""
     env = {**{name: "1" for name in THREADS}, **os.environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{tree}: {label} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout
+
+
+def write_perturbed_digest(tree: Path, data: Path, out: Path) -> None:
+    """Write to ``out`` the digest of ``data``'s second frame as perturbed by ``tree``."""
+    out.write_text(python(tree, "-c", PERTURBED_DIGEST, data / "f2.lcvt", json.dumps(CONFIG),
+                          label="perturbed-frame digest"))
+
+
+def run_recipe(tree: Path, out: Path) -> None:
+    """Write every mode's outputs from ``tree`` under ``out/<mode>``,
+    ``lcv gradcheck``'s report to ``out/gradcheck.txt`` and the perturbed
+    frame's digest to ``out/perturbed_f2.sha256``."""
 
     def lcv(*args, label) -> str:
-        done = subprocess.run([sys.executable, "-m", "lcv.cli", *map(str, args)],
-                              env=env, capture_output=True, text=True)
-        if done.returncode != 0:
-            raise SystemExit(f"{tree}: lcv {label} exited {done.returncode}:\n{done.stderr}")
-        return done.stdout
+        return python(tree, "-m", "lcv.cli", *args, label=f"lcv {label}")
 
     for mode in MODES:
         config = out / f"{mode}.json"
@@ -63,6 +91,7 @@ def run_recipe(tree: Path, out: Path) -> None:
                      ["sweep", "--config", config, "--out", d / "sweep"]):
             lcv(*args, label=f"{args[0]} ({mode})")
     (out / "gradcheck.txt").write_text(lcv("gradcheck", label="gradcheck"))
+    write_perturbed_digest(tree, out / MODES[0] / "data", out / "perturbed_f2.sha256")
 
 
 def comparable(path: Path) -> bytes:
