@@ -493,11 +493,14 @@ def _train_and_score(
     n_train, n_eval = _split(instances)
     workspace = _Workspace()
     learned, records = train_kernel(data[:n_train], opt, window, _workspace=workspace)
+    # The workspace keeps training's full cost tensor; freeing the training
+    # pairs keeps scoring's peak memory below training's.
+    del data[:n_train]
 
     results = []
     for p in points:
         sums = dict.fromkeys(_METRIC_NAMES, 0.0)
-        for j, (f1, f2, gt) in enumerate(data[n_train:]):
+        for j, (f1, f2, gt) in enumerate(data):
             f2p = perturb(f2, p, seed=int(seeds[instances + n_train + j]),
                           signal_channels=spec.signal_channels)
             for name, value in score_pair(f1, f2p, gt, learned, window,
