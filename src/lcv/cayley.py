@@ -52,18 +52,34 @@ def _require_square(a: np.ndarray, who: str) -> None:
 
 
 def _require_finite(a: np.ndarray, who: str) -> None:
-    if not np.all(np.isfinite(a)):
+    # The extremes carry any NaN or infinity, with no mask the size of ``a``.
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError(f"{who}: values must be finite")
 
 
+class _Adopted:
+    """An array that :func:`_frozen` keeps, made read-only, instead of copying.
+
+    Only for an array lcv has just made and nobody else references; see
+    :func:`lcv.costvolume._adopt`.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen(value, who: str, ndim: int) -> np.ndarray:
-    """A read-only, finite float64 copy of ``value`` with ``ndim`` axes.
+    """A read-only, finite float64 copy of ``value`` with ``ndim`` axes, or,
+    for an :class:`_Adopted` float64 array, that array itself.
 
     Every array a frozen container stores goes through here, so a factor
     checked once cannot change afterwards.
     """
+    adopted = isinstance(value, _Adopted)
     try:
-        a = np.array(value, dtype=float)
+        a = np.asarray(value.array, dtype=float) if adopted else np.array(value, dtype=float)
     except ValueError as err:
         raise ValueError(f"{who}: {err}") from err
     if a.ndim != ndim:

@@ -17,18 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from .cayley import NumericalError
-from .costvolume import FeatureMap, FlowField, read_tensor, write_tensor
+from .costvolume import FeatureMap, FlowField, _adopt, read_tensor, write_tensor
 from .harness import (
     GAMMA_GRID,
     NOISE_GRID,
     PATCH_GRID,
     PerturbSpec,
     SyntheticSpec,
+    _perturb_in_place,
     _split,
     check_window,
     experiment_instances,
     generate,
-    perturb,
     report,
     run_gradcheck,
     run_sweep,
@@ -184,11 +184,14 @@ def cmd_eval(args) -> int:
     spec = _synthetic(cfg, args.seed)
 
     kernel = load_kernel(args.checkpoint)
-    f1 = FeatureMap(read_tensor(data_dir / "f1.lcvt"))
-    f2 = FeatureMap(read_tensor(data_dir / "f2.lcvt"))
-    gt = FlowField(read_tensor(data_dir / "flow.lcvt"))
-    # Rebound, so the unperturbed frame is freed before decoding.
-    f2 = perturb(f2, p, seed=spec.seed, signal_channels=min(spec.signal_channels, f2.channels))
+    # The arrays read are the containers' own; the second frame is perturbed
+    # where it was read, once it has passed FeatureMap's checks.
+    f1 = _adopt(FeatureMap, read_tensor(data_dir / "f1.lcvt"))
+    f2 = read_tensor(data_dir / "f2.lcvt")
+    _adopt(FeatureMap, f2.view())
+    gt = _adopt(FlowField, read_tensor(data_dir / "flow.lcvt"))
+    _perturb_in_place(f2, p, seed=spec.seed, signal_channels=min(spec.signal_channels, len(f2)))
+    f2 = _adopt(FeatureMap, f2)
     scores = score_pair(f1, f2, gt, kernel, window)
     metrics = {
         "aepe": scores["aepe_learned"],

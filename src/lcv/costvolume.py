@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import _frozen
+from .cayley import _Adopted, _frozen
 from .kernel import SPDKernel
 
 _TENSOR_MAGIC = b"LCVT"
@@ -79,6 +79,16 @@ class FlowField:
         if d.shape[0] != 2:
             raise ValueError(f"FlowField: expected shape (2, h, w), got {d.shape}")
         object.__setattr__(self, "data", d)
+
+
+def _adopt(cls, data: np.ndarray):
+    """``cls(data)`` that keeps ``data`` itself, made read-only, instead of a copy.
+
+    The checks are the constructor's.  Only for an array that lcv made in
+    the calling function and nobody else references: the public
+    constructors copy, so an array a caller holds is never shared.
+    """
+    return cls(_Adopted(data))
 
 
 def _check_pair(f1: FeatureMap, f2: FeatureMap, u: int, v: int) -> None:
@@ -142,15 +152,22 @@ class _Frames:
                  workspace: _Workspace | None = None):
         c, h, w = f1.shape
         nt = max(1, -(-w // _TILE))
-        self.f1t = np.zeros((h, nt * _TILE, c))
+        # Both start empty, and only their padding is zeroed.
+        self.f1t = np.empty((h, nt * _TILE, c))
         self.f1t[:, :w] = f1.transpose(1, 2, 0)
+        self.f1t[:, w:] = 0.0
         ru, rv = (u - 1) // 2, (v - 1) // 2
         sw = _TILE + v - 1
-        self.strips = np.zeros((nt, h + u - 1, sw, c))
+        self.strips = np.empty((nt, h + u - 1, sw, c))
+        self.strips[:, :ru] = 0.0
+        self.strips[:, ru + h :] = 0.0
         for t in range(nt):
             lo = t * _TILE - rv  # frame column at strip column 0
             j0, j1 = max(0, -lo), min(sw, w - lo)
-            self.strips[t, ru : ru + h, j0:j1] = f2[:, :, lo + j0 : lo + j1].transpose(1, 2, 0)
+            rows = self.strips[t, ru : ru + h]
+            rows[:, :j0] = 0.0
+            rows[:, j0:j1] = f2[:, :, lo + j0 : lo + j1].transpose(1, 2, 0)
+            rows[:, j1:] = 0.0
         self.targets = np.ndarray((nt, h, u * sw, c), self.strips.dtype, self.strips,
                                   strides=self.strips.strides)
         self.targets.flags.writeable = False
@@ -317,7 +334,7 @@ def _cell_offsets(cells: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.nda
 def _cell_flow(cells: np.ndarray, u: int, v: int) -> FlowField:
     """Flow of the row-major window cells ``cells`` ``(h, w)``."""
     flow_h, flow_v = _cell_offsets(cells, u, v)
-    return FlowField(np.stack([flow_h.astype(float), flow_v.astype(float)]))
+    return _adopt(FlowField, np.stack([flow_h.astype(float), flow_v.astype(float)]))
 
 
 def decode_flow_argmax(cv: CostVolume) -> FlowField:

@@ -27,6 +27,7 @@ from .cayley import NumericalError, _frozen
 from .costvolume import (
     FeatureMap,
     FlowField,
+    _adopt,
     _cell_flow,
     _cell_offsets,
     _cells_by_magnitude,
@@ -164,11 +165,11 @@ def generate(spec: SyntheticSpec) -> tuple[FeatureMap, FeatureMap, FlowField]:
         data[cs:] *= 1.0 / np.sqrt(cs)
         if spec.mixing is not None:
             data = (spec.mixing @ data.reshape(c, -1)).reshape(c, h, w)
-        return FeatureMap(data)
+        return _adopt(FeatureMap, data)
 
     f1 = frame(sig2[:, ii + dy, jj + dx])
     f2 = frame(sig2)
-    flow = FlowField(np.stack([dx.astype(float), dy.astype(float)]))
+    flow = _adopt(FlowField, np.stack([dx.astype(float), dy.astype(float)]))
     return f1, f2, flow
 
 
@@ -187,46 +188,50 @@ def perturb(
     data bitwise unchanged.  Draw order: additive noise, patch center,
     patch content.
     """
-    c, h, w = f.data.shape
+    data = np.array(f.data)
+    _perturb_in_place(data, p, seed, signal_channels)
+    return _adopt(FeatureMap, data)
+
+
+def _perturb_in_place(data: np.ndarray, p: PerturbSpec, seed: int,
+                      signal_channels: int | None = None) -> None:
+    """:func:`perturb` on ``data`` ``(c, h, w)`` itself: a finite float64
+    frame the caller owns, changed only once every argument has passed.
+
+    Channel by channel, a gamma channel is curved first, then the noise is
+    drawn into one ``(h, w)`` buffer, scaled and added.  Drawn channel by
+    channel in order, the noise takes the stream as one ``(c, h, w)`` draw
+    does, and ``x + s * z`` has the bits of the ``x + (0.0 + s * z)`` of
+    adding ``rng.normal(0.0, s)``, but where ``x`` and ``s * z`` are both -0.0.
+    """
+    c, h, w = data.shape
     cs = c if signal_channels is None else int(signal_channels)
     if not 0 <= cs <= c:
         raise ValueError(f"perturb: signal_channels {cs} outside [0, {c}]")
+    r = p.patch_radius
+    if r > 0 and 2 * r + 1 > min(h, w):
+        raise ValueError(f"perturb: disc of radius {r} does not fit a {h}x{w} frame")
     rng = np.random.default_rng(seed)
 
     curved = cs if p.gamma != 1.0 else 0  # leading channels on the gamma curve
-    noisy = p.noise_std > 0.0
-    if noisy:
-        # The noise is drawn into the working array, scaled there, and the
-        # input added on top: ``s * z + x`` has the bits of the
-        # ``x + (0.0 + s * z)`` of adding ``rng.normal(0.0, s)``, but where
-        # ``x`` and ``s * z`` are both -0.0.
-        data = rng.standard_normal((c, h, w))
-        data *= p.noise_std
-        data[curved:] += f.data[curved:]
-    else:
-        data = np.array(f.data)
-    for ch in range(curved):
-        x = f.data[ch]
-        lo = x.min()
-        hi = x.max()
-        if hi > lo:
-            x = lo + (hi - lo) * ((x - lo) / (hi - lo)) ** p.gamma
-        if noisy:
-            data[ch] += x
-        else:
-            data[ch] = x
+    noise = np.empty((h, w)) if p.noise_std > 0.0 else None
+    for ch, x in enumerate(data):
+        if ch < curved:
+            lo = x.min()
+            hi = x.max()
+            if hi > lo:
+                x[...] = lo + (hi - lo) * ((x - lo) / (hi - lo)) ** p.gamma
+        if noise is not None:
+            rng.standard_normal(out=noise)
+            noise *= p.noise_std
+            x += noise
 
-    if p.patch_radius > 0:
-        r = p.patch_radius
-        if 2 * r + 1 > min(h, w):
-            raise ValueError(f"perturb: disc of radius {r} does not fit a {h}x{w} frame")
+    if r > 0:
         cy = int(rng.integers(r, h - r))
         cx = int(rng.integers(r, w - r))
         yy, xx = np.ogrid[:h, :w]
         mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
         data[:, mask] = rng.standard_normal((c, int(mask.sum())))
-
-    return FeatureMap(data)
 
 
 def _label_picks(gt: FlowField, u: int, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,6 +3,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,3 +120,29 @@ def test_main_alternates_which_tree_runs_first(tmp_path, monkeypatch):
     assert [env["cpu_model"] for env in doc["manifest"]] == ["cpu A", "cpu B"]
     assert set(doc["workloads"]) == {"a", "b"}
     assert doc["claim"]["change_wins"] == "3/3" and doc["claim"]["met"] is True
+
+
+def test_main_records_each_runs_minor_faults(tmp_path, monkeypatch):
+    # Each run is a real child process that touches 4 MiB (1024 pages) more
+    # in the change tree than in the parent's.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        tree.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 3, "end_to_end": METRICS}))
+
+    def touching_run(tree, workload, seed, seconds):
+        mib = 8 if tree == change else 4
+        subprocess.run([sys.executable, "-c", f"b = bytearray({mib} << 20)"], check=True)
+        return bench_pairs.parse_run(_stdout(tree.name, 10.0, 20.0))
+
+    monkeypatch.setattr(bench_pairs, "run_once", touching_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workloads",
+                             "a", "--seeds", "1-3", "--out", str(out)]) == 0
+    faults = json.loads(out.read_text())["workloads"]["a"]["minor_faults"]
+    assert set(faults) == {"parent", "change"}
+    for side in ("parent", "change"):
+        assert len(faults[side]["runs"]) == 3
+        assert faults[side]["median"] == np.median(faults[side]["runs"])
+    assert min(faults["parent"]["runs"]) >= 1024
+    assert min(c - p for c, p in zip(faults["change"]["runs"], faults["parent"]["runs"])) >= 900

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lcv
+from lcv import cli
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
 _spec = importlib.util.spec_from_file_location("byte_identity", TOOL)
@@ -81,25 +82,26 @@ def test_main_exits_nonzero_naming_each_differing_file(tmp_path, monkeypatch, ca
     assert f"{len(FILES)} files compared" in out
 
 
-def test_a_perturbation_below_the_decode_is_reported(tmp_path):
+def test_a_perturbation_below_the_decode_is_reported(tmp_path, capsys):
     # A tree whose noise is scaled by 1 + 2**-50 moves no decoded match of
-    # the recipe, but the perturbed frame's digest still differs.
+    # the recipe, but the digest of the frame ``lcv eval`` scores differs.
     repo = TOOL.parents[1]
-    data = tmp_path / "data"
-    data.mkdir()
-    spec = lcv.SyntheticSpec(**byte_identity.CONFIG["synthetic"])
-    lcv.write_tensor(data / "f2.lcvt", lcv.generate(spec)[1].data)
+    config, data, checkpoint = tmp_path / "config.json", tmp_path / "data", tmp_path / "k.lcvk"
+    config.write_text(json.dumps(byte_identity.CONFIG))
+    assert cli.main(["generate", "--config", str(config), "--out", str(data)]) == 0
+    channels = lcv.SyntheticSpec(**byte_identity.CONFIG["synthetic"]).channels
+    lcv.save_kernel(checkpoint, lcv.identity_kernel(channels))
     scaled = tmp_path / "scaled"
     shutil.copytree(repo / "src" / "lcv", scaled / "src" / "lcv")
     harness = scaled / "src" / "lcv" / "harness.py"
     source = harness.read_text()
-    assert source.count("data *= p.noise_std\n") == 1
-    harness.write_text(source.replace("data *= p.noise_std\n", "data *= p.noise_std * (1 + 2**-50)\n"))
+    assert source.count("noise *= p.noise_std\n") == 1
+    harness.write_text(source.replace("noise *= p.noise_std\n", "noise *= p.noise_std * (1 + 2**-50)\n"))
 
     outs = {}
     for side, tree in (("a", repo), ("b", repo), ("scaled", scaled)):
         outs[side] = tmp_path / "out" / side
         outs[side].mkdir(parents=True)
-        byte_identity.write_perturbed_digest(tree, data, outs[side] / "perturbed_f2.sha256")
+        byte_identity.write_perturbed_digest(tree, checkpoint, data, outs[side] / "perturbed_f2.sha256")
     assert byte_identity.differences(outs["a"], outs["b"]) == []
     assert byte_identity.differences(outs["a"], outs["scaled"]) == ["perturbed_f2.sha256"]

@@ -25,8 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcv import cli
 from lcv.cli import DEFAULT_CONFIG, load_config, main
-from lcv.costvolume import read_tensor
+from lcv.costvolume import FeatureMap, read_tensor, write_tensor
+from lcv.harness import PerturbSpec, perturb
 from lcv.harness import StepRecord
 from lcv.kernel import identity_kernel, load_kernel, save_kernel
 
@@ -393,6 +395,57 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "k.lcvk"), "--data", str(data),
                      "--out", str(out), "--config", str(path)]) == 1
         assert "config: perturb.patch_radius must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scores_the_very_arrays_it_read(self, tmp_path, tiny_config, monkeypatch):
+        # f1, the flow and the second frame, perturbed where it was read, are
+        # adopted read-only rather than copied; the frame has the bits of
+        # the public perturb of the stored one.
+        data = tmp_path / "data"
+        main(["generate", "--config", tiny_config, "--out", str(data)])
+        save_kernel(tmp_path / "k.lcvk", identity_kernel(4))
+        read, scored = {}, []
+
+        def recording_read(path, _read=cli.read_tensor):
+            read[Path(path).name] = _read(path)
+            return read[Path(path).name]
+
+        def recording_score(f1, f2, gt, *args, _score=cli.score_pair, **kwargs):
+            scored.extend((f1, f2, gt))
+            return _score(f1, f2, gt, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_tensor", recording_read)
+        monkeypatch.setattr(cli, "score_pair", recording_score)
+        assert main(["eval", "--checkpoint", str(tmp_path / "k.lcvk"), "--data", str(data),
+                     "--out", str(tmp_path / "m.json")]) == 0
+        for name, container in zip(("f1.lcvt", "f2.lcvt", "flow.lcvt"), scored):
+            assert container.data is read[name]
+            assert not container.data.flags.writeable and container.data.flags.owndata
+        want = perturb(FeatureMap(read_tensor(data / "f2.lcvt")), PerturbSpec(noise_std=0.05), seed=3,
+                       signal_channels=2)
+        assert scored[1].data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("frame", [
+        pytest.param(lambda f: np.where(np.arange(f.size).reshape(f.shape) == 5, np.inf, f), id="inf"),
+        pytest.param(lambda f: np.where(np.arange(f.size).reshape(f.shape) == 7, np.nan, f), id="nan"),
+        pytest.param(lambda f: f[0], id="2-D"),
+    ])
+    def test_a_malformed_second_frame_exits_1_before_perturbing(self, tmp_path, tiny_config, capsys,
+                                                                   frame):
+        # Checked before the frame is perturbed in place: a gamma curve over
+        # an infinity would warn, and a disc could paint over it.
+        data = tmp_path / "data"
+        main(["generate", "--config", tiny_config, "--out", str(data)])
+        cfg = json.loads(Path(tiny_config).read_text())
+        cfg["perturb"] = {"gamma": 0.5, "noise_std": 0.05, "patch_radius": 5}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        write_tensor(data / "f2.lcvt", frame(read_tensor(data / "f2.lcvt")))
+        save_kernel(tmp_path / "k.lcvk", identity_kernel(4))
+        out = tmp_path / "m.json"
+        assert main(["eval", "--checkpoint", str(tmp_path / "k.lcvk"), "--data", str(data),
+                     "--out", str(out), "--config", str(config)]) == 1
+        assert "FeatureMap" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_checkpoint_exits_1(self, tmp_path, tiny_config):

@@ -9,13 +9,14 @@ either derived in-test by a brute-force oracle or computed by hand.
 import math
 import os
 import struct
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcv import costvolume
 from lcv.cayley import DiagParams, OrthogonalMatrix, SkewParams
 from lcv.costvolume import (
     CostVolume,
@@ -99,6 +100,33 @@ class TestCorrelation:
         W = assemble_kernel(s, t).W
         cv = cost_volume_bilinear(FeatureMap(f1), FeatureMap(f2), W, u, v)
         np.testing.assert_allclose(cv.data, brute_force_volume(f1, f2, W, u, v), atol=1e-12)
+
+    @pytest.mark.parametrize("c,h,w,u,v", [(3, 9, 13, 5, 7), (2, 4, 16, 3, 9), (1, 3, 3, 7, 7)])
+    def test_padding_is_zeroed_whatever_fresh_memory_holds(self, monkeypatch, c, h, w, u, v):
+        # The prepared frames start from np.empty and zero only their
+        # padding; with fresh float buffers full of NaN, every cost must still
+        # match the zero-padded reference.
+        class NanEmpty(ModuleType):
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, dtype=float):
+                return np.full(shape, np.nan, dtype) if np.dtype(dtype).kind == "f" else np.empty(shape, dtype)
+
+        monkeypatch.setattr(costvolume, "np", NanEmpty("numpy"))
+        rng = np.random.default_rng(c + h + w)
+        f1 = rng.standard_normal((c, h, w))
+        f2 = rng.standard_normal((c, h, w))
+        frames = costvolume._Frames(f1, f2, u, v)
+        assert np.isfinite(frames.f1t).all() and np.isfinite(frames.strips).all()
+        assert not frames.f1t[:, w:].any()
+        W = rng.standard_normal((c, c))
+        want = brute_force_volume(f1, f2, W, u, v)
+        np.testing.assert_allclose(cost_volume_bilinear(FeatureMap(f1), FeatureMap(f2), W, u, v).data,
+                                   want, atol=1e-12)
+        np.testing.assert_allclose(vanilla_cost_volume(FeatureMap(f1), FeatureMap(f2), u, v).data,
+                                   brute_force_volume(f1, f2, np.eye(c), u, v), atol=1e-12)
 
     def test_identity_kernel_degenerates_to_vanilla(self):
         rng = np.random.default_rng(2)
@@ -335,6 +363,16 @@ CONTAINERS = {
 
 
 class TestContainers:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 5, 11])
+    def test_every_non_finite_entry_is_rejected(self, bad, at):
+        data = np.arange(12.0).reshape(1, 3, 4)
+        data.flat[at] = bad
+        with pytest.raises(ValueError, match="FeatureMap: values must be finite"):
+            FeatureMap(data)
+        with pytest.raises(ValueError, match="FeatureMap: values must be finite"):
+            costvolume._adopt(FeatureMap, data)
+
     def test_feature_map_needs_three_axes(self):
         with pytest.raises(ValueError):
             FeatureMap(np.zeros((3, 3)))

@@ -34,6 +34,7 @@ from lcv.harness import (
     PerturbSpec,
     SyntheticSpec,
     _MatchingProblem,
+    _perturb_in_place,
     _Workspace,
     experiment_instances,
     generate,
@@ -265,8 +266,34 @@ class TestPerturb:
         data[rng.random(data.shape) < 0.1] = 0.0
         data[3] = -0.0
         p = PerturbSpec(gamma=gamma, noise_std=noise_std, patch_radius=patch_radius)
+        want = _bits(_ref_perturb(data, p, seed=17, signal_channels=signal_channels))
         got = perturb(FeatureMap(data), p, seed=17, signal_channels=signal_channels).data
-        assert _bits(got) == _bits(_ref_perturb(data, p, seed=17, signal_channels=signal_channels))
+        assert _bits(got) == want
+        # The in-place routine that ``lcv eval`` runs on the frame it read.
+        frame = data.copy()
+        _perturb_in_place(frame, p, seed=17, signal_channels=signal_channels)
+        assert _bits(frame) == want
+
+    def test_a_paper_scale_call_peaks_below_1_1_frames_above_its_input(self):
+        # c=64, 64x64: the result is the one working frame; the noise is
+        # drawn one (h, w) channel at a time.
+        f = FeatureMap(np.random.default_rng(0).standard_normal((64, 64, 64)))
+        p = PerturbSpec(gamma=0.7, noise_std=0.1, patch_radius=3)
+        perturb(f, p, seed=1, signal_channels=8)
+        tracemalloc.start()
+        try:
+            out = perturb(f, p, seed=1, signal_channels=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * f.data.nbytes
+        assert not np.shares_memory(out.data, f.data)
+
+    def test_a_disc_that_does_not_fit_leaves_the_frame_unchanged(self):
+        frame = self.f.data.copy()
+        with pytest.raises(ValueError, match="fit"):
+            _perturb_in_place(frame, PerturbSpec(noise_std=0.1, patch_radius=6), seed=0)
+        np.testing.assert_array_equal(frame, self.f.data)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -275,6 +302,41 @@ class TestPerturb:
             PerturbSpec(noise_std=-1.0)
         with pytest.raises(ValueError):
             PerturbSpec(patch_radius=-1)
+
+
+def _adopted(a: np.ndarray) -> bool:
+    """Whether ``a`` is read-only and owns its buffer, so lcv stored the
+    array it made rather than a view or a copy of it."""
+    return not a.flags.writeable and a.flags.owndata and a.base is None
+
+
+class TestAdoption:
+    # Arrays lcv makes itself go into their containers without a copy; the
+    # public constructors still copy (test_container_copies_its_data).
+
+    def test_generate_adopts_its_frames_and_flow(self):
+        f1, f2, flow = generate(TINY)
+        assert all(_adopted(a) for a in (f1.data, f2.data, flow.data))
+
+    def test_perturb_adopts_its_result(self):
+        f = generate(TINY)[1]
+        out = perturb(f, PerturbSpec(gamma=0.5, noise_std=0.1, patch_radius=2), seed=3)
+        assert _adopted(out.data)
+        assert not np.shares_memory(out.data, f.data)
+
+    def test_decode_adopts_its_flow(self):
+        f1, f2, gt = generate(TINY)
+        assert _adopted(decode_flow_argmax(vanilla_cost_volume(f1, f2, 3, 3)).data)
+        assert _adopted(_MatchingProblem(f1, f2, gt, (3, 3)).decode(None).data)
+
+    def test_adopted_arrays_pass_the_constructors_checks(self):
+        with pytest.raises(ValueError, match="FeatureMap: values must be finite"):
+            costvolume._adopt(FeatureMap, np.full((1, 2, 2), np.nan))
+        with pytest.raises(ValueError, match="FlowField: expected shape"):
+            costvolume._adopt(FlowField, np.zeros((3, 2, 2)))
+        data = np.zeros((2, 2, 2))
+        assert costvolume._adopt(FlowField, data).data is data
+        assert not data.flags.writeable
 
 
 class TestMatchingLoss:

@@ -11,13 +11,17 @@ drift in the host's speed does not favour either side.  The run length
 and the end-to-end metrics, with their units, directions and bounds,
 come from the change tree's ``BENCHMARK.json``.  Per metric and side the file holds every run, the
 median and the ``numpy.percentile`` quartiles (linear interpolation);
-per pair, whether the change won, tied or lost.
+per pair, whether the change won, tied or lost.  Per workload and side it
+also holds the minor page faults of each run's process (``getrusage`` of
+the waited-for children, taken around each run), with their median and
+quartiles.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +58,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
     return parse_run(done.stdout)
+
+
+def child_faults() -> int:
+    """Minor page faults of every child process waited for so far."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
 
 
 def summary(values: list[float]) -> dict:
@@ -152,12 +161,17 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         for i, seed in enumerate(args.seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                before = child_faults()
                 run = run_once(trees[side], workload, seed, seconds)
+                run["minor_faults"] = child_faults() - before
                 runs[workload][side].append(run)
-                print(f"{workload} pair {i} seed {seed} {side}: {json.dumps(run['result'])}",
-                      file=sys.stderr)
+                print(f"{workload} pair {i} seed {seed} {side}: {json.dumps(run['result'])}, "
+                      f"{run['minor_faults']} minor faults", file=sys.stderr)
 
     workloads = aggregate(runs, spec["end_to_end"])
+    for workload, sides in runs.items():
+        workloads[workload]["minor_faults"] = {
+            side: summary([run["minor_faults"] for run in sides[side]]) for side in SIDES}
     seen = labels(runs)
     doc = {
         "what": f"End-to-end metrics of the parent commit and of this change, "

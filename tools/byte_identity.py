@@ -8,8 +8,9 @@ and ``lcv sweep`` on one small fixed config, whose perturbation (gamma,
 noise and a disc) ``lcv eval`` applies, and once per tree it runs
 ``lcv gradcheck`` and writes its stdout to ``gradcheck.txt``.  Once per
 tree it also writes ``perturbed_f2.sha256``, the SHA-256 of the bytes of
-the second frame as ``lcv eval`` perturbs it, which a change to
-``perturb`` that moves no decoded match still shows.  Each tree's
+the second frame that ``lcv eval`` scores, as its own ``cmd_eval`` reads
+and perturbs it, which a change to the perturbation that moves no decoded
+match still shows.  Each tree's
 own ``src`` comes first on ``PYTHONPATH``, and BLAS runs on one thread
 unless the environment sets otherwise.  Every file written must match the
 other tree's.  The train log is compared with ``wall_ms`` dropped from each
@@ -42,16 +43,22 @@ CONFIG = {
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-# Prints the SHA-256 of the second frame in ``argv[1]`` under the
-# perturbation ``lcv eval`` applies with ``CONFIG``, given as ``argv[2]``.
+# Runs ``lcv eval`` in-process on the checkpoint ``argv[1]`` and the pair in
+# ``argv[2]``, and prints the SHA-256 of the second frame it scores: the
+# frame as the tree's own ``cmd_eval`` reads and perturbs it.
 PERTURBED_DIGEST = """
-import hashlib, json, sys
-import lcv
-cfg = json.loads(sys.argv[2])
-f2 = lcv.FeatureMap(lcv.read_tensor(sys.argv[1]))
-f2p = lcv.perturb(f2, lcv.PerturbSpec(**cfg["perturb"]), seed=cfg["synthetic"]["seed"],
-                  signal_channels=cfg["synthetic"]["signal_channels"])
-print(hashlib.sha256(f2p.data.tobytes()).hexdigest())
+import contextlib, hashlib, io, os, sys
+from lcv import cli
+digests = []
+def score_pair(f1, f2, *args, _score_pair=cli.score_pair, **kwargs):
+    digests.append(hashlib.sha256(f2.data.tobytes()).hexdigest())
+    return _score_pair(f1, f2, *args, **kwargs)
+cli.score_pair = score_pair
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["eval", "--checkpoint", sys.argv[1], "--data", sys.argv[2], "--out", os.devnull])
+if code:
+    sys.exit(code)
+print(digests[0])
 """
 
 
@@ -66,9 +73,10 @@ def python(tree: Path, *args, label) -> str:
     return done.stdout
 
 
-def write_perturbed_digest(tree: Path, data: Path, out: Path) -> None:
-    """Write to ``out`` the digest of ``data``'s second frame as perturbed by ``tree``."""
-    out.write_text(python(tree, "-c", PERTURBED_DIGEST, data / "f2.lcvt", json.dumps(CONFIG),
+def write_perturbed_digest(tree: Path, checkpoint: Path, data: Path, out: Path) -> None:
+    """Write to ``out`` the digest of ``data``'s second frame as ``tree``'s
+    ``lcv eval`` of ``checkpoint`` perturbs it."""
+    out.write_text(python(tree, "-c", PERTURBED_DIGEST, checkpoint, data,
                           label="perturbed-frame digest"))
 
 
@@ -91,7 +99,8 @@ def run_recipe(tree: Path, out: Path) -> None:
                      ["sweep", "--config", config, "--out", d / "sweep"]):
             lcv(*args, label=f"{args[0]} ({mode})")
     (out / "gradcheck.txt").write_text(lcv("gradcheck", label="gradcheck"))
-    write_perturbed_digest(tree, out / MODES[0] / "data", out / "perturbed_f2.sha256")
+    write_perturbed_digest(tree, out / MODES[0] / "ck.lcvk", out / MODES[0] / "data",
+                           out / "perturbed_f2.sha256")
 
 
 def comparable(path: Path) -> bytes:
