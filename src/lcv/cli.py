@@ -184,8 +184,9 @@ def cmd_eval(args) -> int:
     spec = _synthetic(cfg, args.seed)
 
     kernel = load_kernel(args.checkpoint)
-    # The arrays read are the containers' own; the second frame is perturbed
-    # where it was read, once it has passed FeatureMap's checks.
+    # The arrays read are the containers' own.  The second frame is perturbed
+    # where it was read, once FeatureMap's checks have passed on a view of it
+    # (which leaves the frame itself writable).
     f1 = _adopt(FeatureMap, read_tensor(data_dir / "f1.lcvt"))
     f2 = read_tensor(data_dir / "f2.lcvt")
     _adopt(FeatureMap, f2.view())

@@ -10,9 +10,8 @@ noise and a disc) ``lcv eval`` applies, and once per tree it runs
 tree it also writes ``perturbed_f2.sha256``, the SHA-256 of the bytes of
 the second frame that ``lcv eval`` scores, as its own ``cmd_eval`` reads
 and perturbs it, which a change to the perturbation that moves no decoded
-match still shows.  Each tree's
-own ``src`` comes first on ``PYTHONPATH``, and BLAS runs on one thread
-unless the environment sets otherwise.  Every file written must match the
+match still shows.  Each tree's own ``src`` comes first on ``PYTHONPATH``,
+and BLAS runs on one thread unless the environment sets otherwise.  Every file written must match the
 other tree's.  The train log is compared with ``wall_ms`` dropped from each
 of its JSON lines, since wall times differ between any two runs.  Prints
 each differing file and exits 1 when there is one, or when a command fails;
