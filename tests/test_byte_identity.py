@@ -82,7 +82,7 @@ def test_main_exits_nonzero_naming_each_differing_file(tmp_path, monkeypatch, ca
     assert f"{len(FILES)} files compared" in out
 
 
-def test_a_perturbation_below_the_decode_is_reported(tmp_path, capsys):
+def test_a_perturbation_below_the_decode_is_reported(tmp_path):
     # A tree whose noise is scaled by 1 + 2**-50 moves no decoded match of
     # the recipe, but the digest of the frame ``lcv eval`` scores differs.
     repo = TOOL.parents[1]

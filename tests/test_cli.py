@@ -28,8 +28,7 @@ from hypothesis import strategies as st
 from lcv import cli
 from lcv.cli import DEFAULT_CONFIG, load_config, main
 from lcv.costvolume import FeatureMap, read_tensor, write_tensor
-from lcv.harness import PerturbSpec, perturb
-from lcv.harness import StepRecord
+from lcv.harness import PerturbSpec, StepRecord, perturb
 from lcv.kernel import identity_kernel, load_kernel, save_kernel
 
 
