@@ -108,6 +108,7 @@ _TILE = 8
 # blocks would take 4.7 MB, and a whole c=16, 32x32, 5x5 frame (15,360 bytes
 # a row), whose per-chunk numpy calls would cost more than its GEMMs.
 _CHUNK_BYTES = 589_824
+_FLOAT_BYTES = np.dtype(float).itemsize
 
 
 class _Workspace:
@@ -117,10 +118,12 @@ class _Workspace:
     it, and hands out its front in the asked shape.  So repeated calls
     allocate nothing large, and problems of different sizes can share one
     workspace.  What a buffer holds lasts only until its role's next use.
+    ``seeds`` start roles with given 1-D arrays, which serve until a role
+    is asked for more than its array holds.
     """
 
-    def __init__(self):
-        self._flat: dict[tuple[str, np.dtype], np.ndarray] = {}
+    def __init__(self, **seeds: np.ndarray):
+        self._flat = {(role, flat.dtype): flat for role, flat in seeds.items()}
 
     def __call__(self, role: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         key, n = (role, np.dtype(dtype)), math.prod(shape)
@@ -146,19 +149,35 @@ class _Frames:
     ``x`` at ``k * (_TILE + v - 1) + x + l``.  ``rows`` is the image rows
     per chunk, as many as ``_CHUNK_BYTES`` holds of the GEMM blocks (at
     least one).  ``workspace`` is a fresh one when None.
+
+    ``f1t`` and the strips are cut from one ``np.empty`` block, and so are
+    a fresh workspace's ``frame``, ``blocks``, ``costs`` and ``hits``, each
+    at the size a forward or decode of these frames asks for.  glibc's
+    dynamic thresholds track the largest mmapped block freed: later
+    allocations below it come from the heap, and the heap is trimmed only
+    beyond twice it.  With one block that large, a call's heap stays below
+    the trim, so the next call reuses its pages instead of faulting them in.
     """
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, u: int, v: int,
                  workspace: _Workspace | None = None):
         c, h, w = f1.shape
         nt = max(1, -(-w // _TILE))
-        # Both start empty, and only their padding is zeroed.
-        self.f1t = np.empty((h, nt * _TILE, c))
+        wt, sw = nt * _TILE, _TILE + v - 1
+        self.rows = max(1, _CHUNK_BYTES // (_FLOAT_BYTES * nt * _TILE * u * sw))
+        parts = {"f1t": ((h, wt, c), float), "strips": ((nt, h + u - 1, sw, c), float)}
+        if workspace is None:
+            chunk = min(self.rows, h)
+            parts.update(frame=((h * wt * c,), float),
+                         blocks=((nt * chunk * _TILE * u * sw,), float),
+                         costs=((u * v * chunk * wt,), float),
+                         hits=((u * v * chunk * w,), _code_dtype(u * v)))
+        parts = _carve(parts)
+        # f1t and the strips start empty, and only their padding is zeroed.
+        self.f1t, self.strips = parts.pop("f1t"), parts.pop("strips")
         self.f1t[:, :w] = f1.transpose(1, 2, 0)
         self.f1t[:, w:] = 0.0
         ru, rv = (u - 1) // 2, (v - 1) // 2
-        sw = _TILE + v - 1
-        self.strips = np.empty((nt, h + u - 1, sw, c))
         self.strips[:, :ru] = 0.0
         self.strips[:, ru + h :] = 0.0
         for t in range(nt):
@@ -171,9 +190,23 @@ class _Frames:
         self.targets = np.ndarray((nt, h, u * sw, c), self.strips.dtype, self.strips,
                                   strides=self.strips.strides)
         self.targets.flags.writeable = False
-        self.rows = max(1, _CHUNK_BYTES // (self.strips.itemsize * nt * _TILE * u * sw))
         self.u, self.v, self.h, self.w = u, v, h, w
-        self.workspace = _Workspace() if workspace is None else workspace
+        self.workspace = _Workspace(**parts) if workspace is None else workspace
+
+
+def _carve(parts: dict[str, tuple[tuple[int, ...], type]]) -> dict[str, np.ndarray]:
+    """C-contiguous arrays of the given shapes and dtypes, back to back in
+    one float ``np.empty`` block, each starting on a whole float."""
+    nbytes = {name: math.prod(shape) * np.dtype(dtype).itemsize
+              for name, (shape, dtype) in parts.items()}
+    floats = {name: -(-n // _FLOAT_BYTES) for name, n in nbytes.items()}
+    block = np.empty(sum(floats.values()))
+    out, at = {}, 0
+    for name, (shape, dtype) in parts.items():
+        raw = block[at : at + floats[name]].view(np.uint8)[: nbytes[name]]
+        out[name] = raw.view(dtype).reshape(shape)
+        at += floats[name]
+    return out
 
 
 def _bands(blocks: np.ndarray, u: int, v: int) -> np.ndarray:
@@ -306,6 +339,11 @@ def _cells_by_magnitude(u: int, v: int) -> np.ndarray:
     return np.argsort((dk[:, None] ** 2 + dl[None, :] ** 2).reshape(-1), kind="stable")
 
 
+def _code_dtype(n: int) -> np.dtype:
+    """The dtype of :func:`_winners`' cell codes for ``n`` cells."""
+    return np.min_scalar_type(n)
+
+
 def _winners(costs: np.ndarray, best: np.ndarray, order: np.ndarray,
              workspace: _Workspace) -> np.ndarray:
     """Per pixel, the first cell in ``order`` whose cost reaches the pixel's ``best``.
@@ -318,7 +356,7 @@ def _winners(costs: np.ndarray, best: np.ndarray, order: np.ndarray,
     codes per cost go into ``workspace``.
     """
     n = len(order)
-    code = np.empty(n, dtype=np.min_scalar_type(n))
+    code = np.empty(n, dtype=_code_dtype(n))
     code[order] = np.arange(n, 0, -1)
     hits = np.equal(costs, best, out=workspace("hits", costs.shape, code.dtype))
     np.multiply(hits, code[:, None, None], out=hits)

@@ -213,7 +213,8 @@ def _perturb_in_place(data: np.ndarray, p: PerturbSpec, seed: int,
         raise ValueError(f"perturb: disc of radius {r} does not fit a {h}x{w} frame")
     rng = np.random.default_rng(seed)
 
-    curved = cs if p.gamma != 1.0 else 0  # leading channels on the gamma curve
+    # Leading channels on the gamma curve; a channel with no pixels has no range.
+    curved = cs if p.gamma != 1.0 and h * w > 0 else 0
     noise = np.empty((h, w)) if p.noise_std > 0.0 else None
     for ch, x in enumerate(data):
         if ch < curved:
@@ -470,8 +471,11 @@ def score_pair(
 
     The identity decode is the vanilla inner product, with no ``f1^T W``
     product.  Keys are the metric fields of :class:`ExperimentResult`.
+    A pair with no pixels has no mean error, so it is rejected.
     """
     problem = _MatchingProblem(f1, f2, gt, window, _workspace)
+    if f1.height * f1.width == 0:
+        raise ValueError(f"score_pair: frames of shape {f1.data.shape} have no pixels")
     scores = {}
     for name, W in (("identity", None), ("learned", learned.W)):
         flow = problem.decode(W)

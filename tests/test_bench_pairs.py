@@ -21,13 +21,13 @@ METRICS = [
 ]
 
 
-def _stdout(commit, step_ms, rate, failed=0, cpu="cpu A"):
+def _stdout(commit, step_ms, rate, failed=0, cpu="cpu A", attempted=100):
     """The three lines ``perfbench/run.py --trace 0`` prints."""
     manifest = {"git_commit": commit, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
                 "lcv": "0.1.0", "blas": "openblas 0.3", "blas_threads": {"OPENBLAS_NUM_THREADS": "1"},
                 "nproc": 2, "cpu_model": cpu, "l2_cache": "4 MiB", "l3_cache": "32 MiB",
                 "workload": {"name": "w"}, "seed": 1, "seconds": 55.0}
-    result = {"correct": failed == 0, "attempted": 100, "failed": failed,
+    result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
               "metrics": {"train_step_ms": {"value": step_ms, "unit": "ms"},
                           "eval_pairs_per_s": {"value": rate, "unit": "1/s"}}}
     return "\n".join(json.dumps(line) for line in
@@ -146,3 +146,31 @@ def test_main_records_each_runs_minor_faults(tmp_path, monkeypatch):
         assert faults[side]["median"] == np.median(faults[side]["runs"])
     assert min(faults["parent"]["runs"]) >= 1024
     assert min(c - p for c, p in zip(faults["change"]["runs"], faults["parent"]["runs"])) >= 900
+
+
+def test_main_divides_each_runs_faults_by_its_operations(tmp_path, monkeypatch):
+    # The change's runs fault the same 8 MiB as the parent's but attempt
+    # twice the operations, so they fault half as much per operation.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        tree.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 3, "end_to_end": METRICS}))
+
+    def touching_run(tree, workload, seed, seconds):
+        subprocess.run([sys.executable, "-c", "b = bytearray(8 << 20)"], check=True)
+        return bench_pairs.parse_run(_stdout(tree.name, 10.0, 20.0,
+                                             attempted=400 if tree == change else 200))
+
+    monkeypatch.setattr(bench_pairs, "run_once", touching_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workloads",
+                             "a", "--seeds", "1-3", "--out", str(out)]) == 0
+    workload = json.loads(out.read_text())["workloads"]["a"]
+    for side, attempted in (("parent", 200), ("change", 400)):
+        per_op = workload["minor_faults_per_op"][side]
+        assert per_op["runs"] == [n / attempted for n in workload["minor_faults"][side]["runs"]]
+        q1, median, q3 = np.percentile(per_op["runs"], [25, 50, 75])
+        assert (per_op["median"], per_op["q1"], per_op["q3"]) == (median, q1, q3)
+    per_op = {side: workload["minor_faults_per_op"][side]["median"] for side in ("parent", "change")}
+    assert per_op["parent"] > 10
+    assert 0.4 < per_op["change"] / per_op["parent"] < 0.6

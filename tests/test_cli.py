@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -447,6 +448,24 @@ class TestEval:
         assert "FeatureMap" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_a_pair_with_no_pixels_exits_1(self, tmp_path, tiny_config, capsys, gamma):
+        # Its mean errors would be NaN, which is not JSON.
+        data = tmp_path / "data"
+        main(["generate", "--config", tiny_config, "--out", str(data)])
+        for name, channels in (("f1.lcvt", 4), ("f2.lcvt", 4), ("flow.lcvt", 2)):
+            write_tensor(data / name, np.zeros((channels, 0, 12)))
+        cfg = json.loads(Path(tiny_config).read_text())
+        cfg["perturb"]["gamma"] = gamma
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        save_kernel(tmp_path / "k.lcvk", identity_kernel(4))
+        out = tmp_path / "m.json"
+        assert main(["eval", "--checkpoint", str(tmp_path / "k.lcvk"), "--data", str(data),
+                     "--out", str(out), "--config", str(config)]) == 1
+        assert "(4, 0, 12) have no pixels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_1(self, tmp_path, tiny_config):
         data = tmp_path / "data"
         main(["generate", "--config", tiny_config, "--out", str(data)])
@@ -530,6 +549,39 @@ class TestEval:
                 tracemalloc.stop()
         frame = 8 * 64 * 64 * 64
         assert peak <= 7.25 * frame
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's heap trimming")
+    def test_a_warm_desk_call_faults_in_at_most_16_pages(self, tmp_path):
+        # A fresh interpreter, so pytest's heap does not set the trim.  A
+        # call that frees more than glibc's trim threshold hands its pages
+        # back to the OS and faults them in again on the next call.
+        script = f"""
+import contextlib, io, json, resource, statistics
+import numpy as np
+from lcv import cli
+from lcv.kernel import identity_kernel, save_kernel
+root = {str(tmp_path)!r}
+cfg = {{"synthetic": {{"height": 32, "width": 32, "signal_channels": 4, "noise_channels": 12,
+                       "max_displacement": 2}}, "perturb": {{"noise_std": 0.1}}, "window": [5, 5]}}
+with open(root + "/desk.json", "w") as fh:
+    json.dump(cfg, fh)
+save_kernel(root + "/k.lcvk", identity_kernel(16))
+faults = []
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["generate", "--config", root + "/desk.json", "--out", root + "/data"]) == 0
+    for j in range(23):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(["eval", "--checkpoint", root + "/k.lcvk", "--data", root + "/data",
+                         "--out", root + "/m.json", "--seed", str(j)]) == 0
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults[3:]))
+"""
+        pythonpath = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath)),
+               "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True, timeout=120)
+        assert float(done.stdout) <= 16
 
 
 class TestSweep:

@@ -162,7 +162,9 @@ class TestCorrelation:
     def test_empty_frames_give_empty_volumes(self, h, w):
         f = FeatureMap(np.zeros((2, h, w)))
         assert vanilla_cost_volume(f, f, 3, 5).data.shape == (3, 5, h, w)
-        assert cost_volume_bilinear(f, f, np.eye(2), 3, 5).data.shape == (3, 5, h, w)
+        cv = cost_volume_bilinear(f, f, np.eye(2), 3, 5)
+        assert cv.data.shape == (3, 5, h, w)
+        assert decode_flow_argmax(cv).data.shape == (2, h, w)
 
     def test_even_window_rejected(self):
         rng = np.random.default_rng(5)

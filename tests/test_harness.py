@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcv import costvolume
+from lcv import costvolume, harness
 from lcv.cayley import DiagParams, NumericalError, SkewParams, dlambda_dt
 from lcv.costvolume import (
     _TILE,
@@ -294,6 +294,11 @@ class TestPerturb:
         with pytest.raises(ValueError, match="fit"):
             _perturb_in_place(frame, PerturbSpec(noise_std=0.1, patch_radius=6), seed=0)
         np.testing.assert_array_equal(frame, self.f.data)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0)])
+    def test_a_frame_with_no_pixels_comes_back_empty(self, shape):
+        out = perturb(FeatureMap(np.zeros(shape)), PerturbSpec(gamma=0.5, noise_std=0.1), seed=1)
+        assert out.data.shape == shape
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -626,6 +631,34 @@ class TestMatchingEngine:
                                                 problem.decode(None).data)])
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    @pytest.mark.parametrize("c, h, w, u, v", [(16, 32, 32, 5, 5), (8, 40, 36, 9, 9)])
+    def test_own_workspace_buffers_share_the_frames_block(self, c, h, w, u, v):
+        # The desk frame is one chunk; 40 rows are four chunks of at most 12,
+        # and 36 columns end in a partial tile.  Both decodes run out of the
+        # block: no role outgrows its slice.
+        rng = np.random.default_rng(c + h)
+        f1, f2 = (FeatureMap(rng.standard_normal((c, h, w))) for _ in range(2))
+        problem = _MatchingProblem(f1, f2, FlowField(np.zeros((2, h, w))), (u, v))
+        frames = problem._frames
+        problem.decode(np.eye(c) + 0.1 * rng.standard_normal((c, c)))
+        problem.decode(None)
+        assert {role for role, _ in frames.workspace._flat} == {"frame", "blocks", "costs", "hits"}
+        block = frames.f1t.base
+        assert block is not None and frames.strips.base is block
+        assert all(flat.base is block for flat in frames.workspace._flat.values())
+
+    def test_a_shared_workspace_gets_no_role_from_the_frames(self):
+        rng = np.random.default_rng(8)
+        f1, f2 = (rng.standard_normal((4, 9, 11)) for _ in range(2))
+        workspace = _Workspace()
+        costvolume._Frames(f1, f2, 3, 5, workspace)
+        assert workspace._flat == {}
+        workspace("frame", (9 * 16, 4))
+        roles = dict(workspace._flat)
+        costvolume._Frames(f1, f2, 3, 5, workspace)
+        assert workspace._flat.keys() == roles.keys()
+        assert all(workspace._flat[key] is flat for key, flat in roles.items())
+
     def test_default_budget_takes_a_desk_frame_whole_and_paper_scale_by_8_rows(self):
         desk, paper = np.zeros((16, 32, 32)), np.zeros((64, 64, 64))
         assert costvolume._Frames(desk, desk, 5, 5).rows >= 32
@@ -827,6 +860,31 @@ class TestExperiment:
             assert {k: _bits(x) for k, x in shared.items()} == {k: _bits(x) for k, x in fresh.items()}
             result = run_experiment(spec, p, FAST_OPT, window, instances=3)
             assert [_bits(getattr(result, k)) for k in fresh] == [_bits(x) for x in fresh.values()]
+
+
+    def test_training_and_scoring_share_one_frame_buffer(self, monkeypatch):
+        # Every problem of a run writes into the run's one workspace, and
+        # that workspace makes one f1^T W buffer for all of them.
+        made = []
+
+        class Recording(_Workspace):
+            def __init__(self, **seeds):
+                super().__init__(**seeds)
+                made.append(self)
+
+        monkeypatch.setattr(costvolume, "_Workspace", Recording)
+        monkeypatch.setattr(harness, "_Workspace", Recording)
+        run_experiment(TINY, PerturbSpec(noise_std=0.05), FAST_OPT, (3, 3), instances=5)
+        assert len(made) == 1
+        assert [role for role, _ in made[0]._flat].count("frame") == 1
+
+    @pytest.mark.parametrize("shape", [(4, 0, 12), (4, 12, 0)])
+    def test_score_pair_rejects_a_pair_with_no_pixels(self, shape):
+        f = FeatureMap(np.zeros(shape))
+        gt = FlowField(np.zeros((2, *shape[1:])))
+        with pytest.raises(ValueError, match="no pixels") as err:
+            score_pair(f, f, gt, identity_kernel(4), (3, 3))
+        assert str(shape) in str(err.value)
 
 
 class TestSweep:

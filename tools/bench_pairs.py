@@ -14,7 +14,9 @@ median and the ``numpy.percentile`` quartiles (linear interpolation);
 per pair, whether the change won, tied or lost.  Per workload and side it
 also holds the minor page faults of each run's process (``getrusage`` of
 the waited-for children, taken around each run), with their median and
-quartiles.
+quartiles, and the same per operation: each run's faults over the
+operations its result line says it attempted, since runs of equal length
+complete different numbers of calls.
 """
 
 from __future__ import annotations
@@ -164,14 +166,16 @@ def main(argv=None) -> int:
                 before = child_faults()
                 run = run_once(trees[side], workload, seed, seconds)
                 run["minor_faults"] = child_faults() - before
+                run["minor_faults_per_op"] = run["minor_faults"] / run["result"]["attempted"]
                 runs[workload][side].append(run)
                 print(f"{workload} pair {i} seed {seed} {side}: {json.dumps(run['result'])}, "
                       f"{run['minor_faults']} minor faults", file=sys.stderr)
 
     workloads = aggregate(runs, spec["end_to_end"])
     for workload, sides in runs.items():
-        workloads[workload]["minor_faults"] = {
-            side: summary([run["minor_faults"] for run in sides[side]]) for side in SIDES}
+        for key in ("minor_faults", "minor_faults_per_op"):
+            workloads[workload][key] = {side: summary([run[key] for run in sides[side]])
+                                        for side in SIDES}
     seen = labels(runs)
     doc = {
         "what": f"End-to-end metrics of the parent commit and of this change, "
