@@ -151,12 +151,10 @@ class _Frames:
     least one).  ``workspace`` is a fresh one when None.
 
     ``f1t`` and the strips are cut from one ``np.empty`` block, and so are
-    a fresh workspace's ``frame``, ``blocks``, ``costs`` and ``hits``, each
-    at the size a forward or decode of these frames asks for.  glibc's
-    dynamic thresholds track the largest mmapped block freed: later
-    allocations below it come from the heap, and the heap is trimmed only
-    beyond twice it.  With one block that large, a call's heap stays below
-    the trim, so the next call reuses its pages instead of faulting them in.
+    a fresh workspace's ``frame``, ``blocks``, ``costs`` and ``hits``, at
+    the sizes a forward and a decode of these frames ask for.  glibc trims
+    free heap beyond twice the largest mmapped block freed so far, so with
+    this one block a call's heap stays resident for the next call.
     """
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, u: int, v: int,
@@ -197,14 +195,11 @@ class _Frames:
 def _carve(parts: dict[str, tuple[tuple[int, ...], type]]) -> dict[str, np.ndarray]:
     """C-contiguous arrays of the given shapes and dtypes, back to back in
     one float ``np.empty`` block, each starting on a whole float."""
-    nbytes = {name: math.prod(shape) * np.dtype(dtype).itemsize
+    floats = {name: -(-math.prod(shape) * np.dtype(dtype).itemsize // _FLOAT_BYTES)
               for name, (shape, dtype) in parts.items()}
-    floats = {name: -(-n // _FLOAT_BYTES) for name, n in nbytes.items()}
-    block = np.empty(sum(floats.values()))
-    out, at = {}, 0
+    block, at, out = np.empty(sum(floats.values())), 0, {}
     for name, (shape, dtype) in parts.items():
-        raw = block[at : at + floats[name]].view(np.uint8)[: nbytes[name]]
-        out[name] = raw.view(dtype).reshape(shape)
+        out[name] = block[at : at + floats[name]].view(dtype)[: math.prod(shape)].reshape(shape)
         at += floats[name]
     return out
 
