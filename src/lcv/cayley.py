@@ -268,34 +268,48 @@ def is_in_so_star(P: np.ndarray, margin: float = SO_STAR_MARGIN) -> SOStarCheck:
     )
 
 
+def _arctan_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pi + 2 arctan t`` and ``pi - 2 arctan t``; past ``|t| = 1``, where one
+    would cancel, it is taken as ``2 arctan(1 / |t|)``."""
+    a, far = 2.0 * np.arctan(t), 2.0 * np.arctan2(1.0, np.abs(t))
+    return np.where(t < -1.0, far, np.pi + a), np.where(t > 1.0, far, np.pi - a)
+
+
 def lambda_from_t(t: DiagParams | np.ndarray) -> np.ndarray:
     """Map free reals to positive diagonal entries.
 
     ``lam(t) = (pi + 2 arctan t) / (pi - 2 arctan t)`` is strictly
     increasing with ``lam(0) = 1`` and ``lam(t) * lam(-t) = 1``, so the
     zero vector parameterizes the identity scaling and sign flips invert
-    scales.
+    scales.  It is finite and positive wherever representable.
     """
     arr = t.t if isinstance(t, DiagParams) else np.asarray(t, dtype=float)
     _require_finite(arr, "lambda_from_t")
-    a = 2.0 * np.arctan(arr)
-    return (np.pi + a) / (np.pi - a)
+    num, den = _arctan_terms(arr)
+    return num / den
 
 
 def t_from_lambda(lam: np.ndarray) -> DiagParams:
-    """Analytic inverse of :func:`lambda_from_t` for strictly positive input."""
+    """Analytic inverse of :func:`lambda_from_t` for strictly positive input:
+    ``t = cot(pi / (lam + 1))``, taken below ``lam = 1`` as
+    ``-cot(pi lam / (lam + 1))`` so the angle never rounds onto a pole."""
     lam = np.asarray(lam, dtype=float)
     _require_finite(lam, "t_from_lambda")
     if np.any(lam <= 0.0):
         raise ValueError("t_from_lambda: entries must be strictly positive")
-    return DiagParams(t=np.tan(np.pi * (lam - 1.0) / (2.0 * (lam + 1.0))))
+    return DiagParams(t=np.sign(lam - 1.0) / np.tan(np.pi * np.minimum(lam, 1.0) / (lam + 1.0)))
 
 
 def dlambda_dt(t: DiagParams | np.ndarray) -> np.ndarray:
-    """Derivative of :func:`lambda_from_t`, ``4 pi / ((1 + t^2)(pi - 2 arctan t)^2)``."""
+    """Derivative of :func:`lambda_from_t`, ``4 pi / ((1 + t^2)(pi - 2 arctan t)^2)``,
+    past ``|t| = 1`` as ``(2 sqrt(pi) / (hypot(1, t) (pi - 2 arctan t)))^2``,
+    which does not overflow."""
     arr = t.t if isinstance(t, DiagParams) else np.asarray(t, dtype=float)
     _require_finite(arr, "dlambda_dt")
-    return 4.0 * np.pi / ((1.0 + arr**2) * (np.pi - 2.0 * np.arctan(arr)) ** 2)
+    near = np.clip(arr, -1.0, 1.0)
+    far = (2.0 * np.sqrt(np.pi) / (np.hypot(1.0, arr) * _arctan_terms(arr)[1])) ** 2
+    return np.where(np.abs(arr) > 1.0, far,
+                    4.0 * np.pi / ((1.0 + near**2) * (np.pi - 2.0 * np.arctan(near)) ** 2))
 
 
 def so_star_path(P: OrthogonalMatrix, steps: int) -> list[OrthogonalMatrix]:

@@ -148,13 +148,14 @@ class _Frames:
     every target of row tile ``(i, t)``, under cell ``(k, l)`` for pixel
     ``x`` at ``k * (_TILE + v - 1) + x + l``.  ``rows`` is the image rows
     per chunk, as many as ``_CHUNK_BYTES`` holds of the GEMM blocks (at
-    least one).  ``workspace`` is a fresh one when None.
+    least one).  A one-column frame is one chunk: numpy sums a one-pixel
+    chunk's softmax in another order.  ``workspace`` is a fresh one when None.
 
     ``f1t`` and the strips are cut from one ``np.empty`` block, and so are
     a fresh workspace's ``frame``, ``blocks``, ``costs`` and ``hits``, at
-    the sizes a forward and a decode of these frames ask for.  glibc trims
-    free heap beyond twice the largest mmapped block freed so far, so with
-    this one block a call's heap stays resident for the next call.
+    the sizes a pass over these frames asks for.  glibc trims free heap
+    beyond twice the largest mmapped block freed so far, so with this one
+    block a call's heap stays resident for the next call.
     """
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, u: int, v: int,
@@ -162,7 +163,7 @@ class _Frames:
         c, h, w = f1.shape
         nt = max(1, -(-w // _TILE))
         wt, sw = nt * _TILE, _TILE + v - 1
-        self.rows = max(1, _CHUNK_BYTES // (_FLOAT_BYTES * nt * _TILE * u * sw))
+        self.rows = max(1, h if w == 1 else _CHUNK_BYTES // (_FLOAT_BYTES * nt * _TILE * u * sw))
         parts = {"f1t": ((h, wt, c), float), "strips": ((nt, h + u - 1, sw, c), float)}
         if workspace is None:
             chunk = min(self.rows, h)
@@ -213,18 +214,17 @@ def _bands(blocks: np.ndarray, u: int, v: int) -> np.ndarray:
                       strides=((_TILE + v - 1) * sj, sj, si, st, sx + sj))
 
 
-def _window_costs(frames: _Frames, W: np.ndarray | None, out: np.ndarray | None = None):
+def _window_costs(frames: _Frames, W: np.ndarray | None):
     """Costs of ``frames`` under ``W``, ``frames.rows`` image rows at a time.
 
-    Yields ``(i0, i1, costs)``, ``costs`` ``(u * v, i1 - i0, wt)`` being rows
-    ``i0:i1`` of ``out`` ``(u * v, h, wt)`` when given, else one workspace
-    buffer that every chunk overwrites.  The costs are tile-padded: the
-    columns past ``w`` hold the zero costs of ``f1t``'s padding.  ``W``
-    goes onto the first frame (``f1^T W``, one GEMM over the whole frame),
-    which leaves the strips the same for every kernel.  Per chunk, one
-    batched product of every row tile with its targets gives an
-    ``(_TILE, u * (_TILE + v - 1))`` block per tile whose bands are the
-    costs of all window cells.
+    Yields ``(i0, i1, costs)``, ``costs`` ``(u * v, i1 - i0, wt)`` being the
+    costs of rows ``i0:i1`` in one workspace buffer that every chunk
+    overwrites.  The costs are tile-padded: the columns past ``w`` hold the
+    zero costs of ``f1t``'s padding.  ``W`` goes onto the first frame
+    (``f1^T W``, one GEMM over the whole frame), which leaves the strips the
+    same for every kernel.  Per chunk, one batched product of every row
+    tile with its targets gives an ``(_TILE, u * (_TILE + v - 1))`` block per
+    tile whose bands are the costs of all window cells.
     """
     h, wt, c = frames.f1t.shape
     u, v, ws = frames.u, frames.v, frames.workspace
@@ -238,33 +238,29 @@ def _window_costs(frames: _Frames, W: np.ndarray | None, out: np.ndarray | None 
         i1 = min(i0 + frames.rows, h)
         blocks = np.matmul(tiles[:, i0:i1], targets[:, i0:i1],
                            out=ws("blocks", (nt, i1 - i0, _TILE, targets.shape[-1])))
-        costs = ws("costs", (u * v, i1 - i0, wt)) if out is None else out[:, i0:i1]
+        costs = ws("costs", (u * v, i1 - i0, wt))
         costs.reshape(u, v, i1 - i0, nt, _TILE)[...] = _bands(blocks, u, v)
         yield i0, i1, costs
 
 
-def _window_targets(frames: _Frames, dC: np.ndarray) -> np.ndarray:
-    """``B`` ``(h * w, c)``: per pixel, the ``dC``-weighted sum of its targets
-    in the strips, over every window cell.
-
-    This is the adjoint of :func:`_window_costs` in the second frame.  Per
-    chunk of rows, ``dC`` ``(u, v, h, wt)``, tile-padded like the costs,
-    fills the bands of one zeroed block per row tile, and one batched
-    product with the tiles' targets sums all cells; the padded columns
-    reach only ``B``'s padded rows, which are cut off.  ``B`` goes into
-    the workspace buffer of ``f1^T W``, which is dead by now.
+def _window_targets(frames: _Frames, i0: int, dC: np.ndarray) -> np.ndarray:
+    """``B`` ``(h, wt, c)``, its rows ``i0:i0 + rows`` filled from their costs'
+    gradient ``dC`` ``(u, v, rows, wt)`` (or ``(u * v, rows, wt)``, tile-padded):
+    per pixel, the ``dC``-weighted sum of its targets over every window cell,
+    the adjoint of :func:`_window_costs` in the second frame, by one batched
+    product of the targets with zeroed blocks whose bands ``dC`` fills.
+    ``B`` overwrites rows of ``f1^T W`` that the forward has already used.
     """
-    u, v, h, wt = dC.shape
+    rows, wt = dC.shape[-2:]
     nt, _, sw, c = frames.strips.shape
+    u, v, h = frames.u, frames.v, frames.h
     B = frames.workspace("frame", (h, wt, c))
-    tiles = B.reshape(h, nt, _TILE, c).swapaxes(0, 1)
-    for i0 in range(0, h, frames.rows):
-        i1 = min(i0 + frames.rows, h)
-        blocks = frames.workspace("blocks", (nt, i1 - i0, _TILE, u * sw))
-        blocks.fill(0.0)
-        _bands(blocks, u, v)[...] = dC[:, :, i0:i1].reshape(u, v, i1 - i0, nt, _TILE)
-        np.matmul(blocks, frames.targets[:, i0:i1], out=tiles[:, i0:i1])
-    return B[:, : frames.w].reshape(-1, c)
+    blocks = frames.workspace("blocks", (nt, rows, _TILE, u * sw))
+    blocks.fill(0.0)
+    _bands(blocks, u, v)[...] = dC.reshape(u, v, rows, nt, _TILE)
+    np.matmul(blocks, frames.targets[:, i0 : i0 + rows],
+              out=B.reshape(h, nt, _TILE, c).swapaxes(0, 1)[:, i0 : i0 + rows])
+    return B
 
 
 def _correlate(f1: np.ndarray, f2: np.ndarray, W: np.ndarray | None, u: int, v: int) -> np.ndarray:
@@ -274,11 +270,10 @@ def _correlate(f1: np.ndarray, f2: np.ndarray, W: np.ndarray | None, u: int, v: 
     The reduction order is fixed, so repeated runs are bitwise identical.
     """
     frames = _Frames(f1, f2, u, v)
-    h, wt, _ = frames.f1t.shape
-    out = np.empty((u * v, h, wt))
-    for _ in _window_costs(frames, W, out):
-        pass
-    return out[..., : frames.w]
+    out = np.empty((u * v, frames.h, frames.w))
+    for i0, i1, costs in _window_costs(frames, W):
+        out[:, i0:i1] = costs[..., : frames.w]
+    return out
 
 
 def cost_volume_bilinear(f1: FeatureMap, f2: FeatureMap, W: np.ndarray, u: int, v: int) -> CostVolume:

@@ -235,34 +235,34 @@ def _perturb_in_place(data: np.ndarray, p: PerturbSpec, seed: int,
         data[:, mask] = rng.standard_normal((c, int(mask.sum())))
 
 
-def _label_picks(gt: FlowField, u: int, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index of every pixel's ground-truth cell in logits ``(u * v, h, w)``:
-    the row-major window cell, then the pixel's row and column."""
+def _label_cells(gt: FlowField, u: int, v: int) -> np.ndarray:
+    """Every pixel's ground-truth cell ``(h, w)`` in row-major window order."""
     ru, rv = (u - 1) // 2, (v - 1) // 2
     dx = np.rint(gt.data[0]).astype(int)
     dy = np.rint(gt.data[1]).astype(int)
     if np.any(np.abs(dx) > rv) or np.any(np.abs(dy) > ru):
         raise ValueError("matching_loss: ground-truth flow falls outside the window")
-    h, w = dx.shape
-    return (dy + ru) * v + (dx + rv), np.arange(h)[:, None], np.arange(w)[None, :]
+    return (dy + ru) * v + (dx + rv)
 
 
-def _softmax_xent(Z: np.ndarray, best: np.ndarray, picks: tuple) -> float:
-    """Mean cross-entropy of the logits ``Z`` ``(cells, h, w)`` against the
-    labels that ``picks`` (from :func:`_label_picks`) index.
+def _softmax_xent(Z: np.ndarray, best: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Per-pixel log-likelihoods of ``labels`` ``(rows, w)`` (from
+    :func:`_label_cells`) under the logits ``Z`` ``(cells, rows, w)``.
 
     ``best`` is the per-pixel maximum of ``Z``.  Works in place: on return
-    ``Z`` holds the gradient of the mean loss with respect to every logit.
+    ``Z`` holds the gradient of a mean cross-entropy over ``n`` pixels.
     """
+    rows, w = labels.shape
+    picks = labels, np.arange(rows)[:, None], np.arange(w)
     Z -= best
-    picked = Z[picks]
+    logp = Z[picks]
     np.exp(Z, out=Z)
     denom = Z.sum(axis=0)
-    loss = float(-(picked - np.log(denom)).mean())
+    logp -= np.log(denom)
     Z /= denom
     Z[picks] -= 1.0
-    Z /= best.size
-    return loss
+    Z /= n
+    return logp
 
 
 def matching_loss(cv, gt: FlowField) -> tuple[float, np.ndarray]:
@@ -273,22 +273,21 @@ def matching_loss(cv, gt: FlowField) -> tuple[float, np.ndarray]:
     gradient with respect to every cost entry.
     """
     u, v, h, w = cv.data.shape
-    picks = _label_picks(gt, u, v)
+    labels = _label_cells(gt, u, v)
     Z = cv.data.reshape(u * v, h, w).copy()
-    loss = _softmax_xent(Z, Z.max(axis=0), picks)
-    return loss, Z.reshape(u, v, h, w)
+    return float(-_softmax_xent(Z, Z.max(axis=0), labels, h * w).mean()), Z.reshape(u, v, h, w)
 
 
 def _grad_w_from_costs(f1: np.ndarray, frames: _Frames, dC: np.ndarray) -> np.ndarray:
-    """Chain a cost-volume gradient ``dC`` ``(u, v, h, wt)`` back to the kernel matrix.
-
-    ``dL/dW[a, b] = sum_klij dC[k,l,i,j] f1[a,i,j] f2[b, i+k-ru, j+l-rv]``
-    with zero padding outside the second frame, whose strips ``frames``
-    holds.  The inner sum over cells is :func:`_window_targets`, then one
-    GEMM with ``f1`` ``(c, h, w)``.
+    """``dL/dW[a, b] = sum_klij dC[k,l,i,j] f1[a,i,j] f2[b, i+k-ru, j+l-rv]``,
+    with ``f2`` zero-padded in ``frames``' strips, from ``dC`` ``(u, v, rows, wt)``
+    of the last row chunk on: its sum over cells goes into ``B``'s last rows
+    (the earlier chunks' are there already), then one GEMM with ``f1``
+    ``(c, h, w)``.  So a one-chunk frame's backward is this one call.
     """
     c, h, w = f1.shape
-    return f1.reshape(c, h * w) @ _window_targets(frames, dC)
+    B = _window_targets(frames, h - dC.shape[2], dC)[:, :w]
+    return f1.reshape(c, h * w) @ B.reshape(h * w, c)
 
 
 class _MatchingProblem:
@@ -297,64 +296,60 @@ class _MatchingProblem:
     What does not depend on ``W`` is prepared once: the window cells in
     decoding order, the :class:`_Frames` (the kernel goes onto the first
     frame, so the second frame's strips serve every forward and backward)
-    and, at the first gradient, the index of the labels in the costs.  The
-    buffers the engine writes stay in ``workspace``, which problems may share.
-    ``loss_grad`` runs the forward once and takes the decode, the loss
-    and the gradient from that one cost tensor; ``decode`` consumes the
-    costs a chunk of rows at a time and never holds them all.
+    and, at the first gradient, the labels.  The buffers the engine writes
+    stay in ``workspace``, which problems may share.  Both methods take the
+    costs a row chunk at a time, and ``loss_grad`` chains each one back.
     """
 
     def __init__(self, f1: FeatureMap, f2: FeatureMap, gt: FlowField, window: tuple[int, int],
                  workspace: _Workspace | None = None):
         u, v = window
         _check_pair(f1, f2, u, v)
+        if f1.height * f1.width == 0:
+            raise ValueError(f"matching: frames of shape {f1.data.shape} have no pixels")
         self.f1, self.gt = f1.data, gt
         self.u, self.v = u, v
         self.order = _cells_by_magnitude(u, v)
         self._frames = _Frames(f1.data, f2.data, u, v, workspace)
-        self._picks = None
+        self._labels = None
 
-    def _cells(self, costs: np.ndarray, best: np.ndarray) -> np.ndarray:
-        """Decoded cells of ``costs`` ``(u * v, rows, w)``, whose per-pixel
-        maximum goes into ``best``."""
-        np.max(costs, axis=0, out=best)
-        if not (np.isfinite(costs.min()) and np.isfinite(best.max())):
-            raise NumericalError("matching: the costs under this kernel are not finite")
-        return _winners(costs, best, self.order, self._frames.workspace)
-
-    def _costs(self, W: np.ndarray | None, out: np.ndarray | None = None):
-        """The chunks of :func:`_window_costs` under ``W``; None is ``W = I``
-        without its product."""
-        c = self.f1.shape[0]
+    def _decoded(self, W: np.ndarray | None, cells: np.ndarray, best: np.ndarray):
+        """The chunks of :func:`_window_costs` under ``W`` (None is ``W = I``
+        without its product), each decoded into its rows of ``cells`` and,
+        its per-pixel maximum, of ``best``, both ``(h, w)``."""
+        c, _, w = self.f1.shape
         if W is not None and W.shape != (c, c):
             raise ValueError(f"matching: W shape {W.shape}, expected {(c, c)}")
-        return _window_costs(self._frames, W, out)
+        for i0, i1, costs in _window_costs(self._frames, W):
+            chunk = costs[..., :w]
+            np.max(chunk, axis=0, out=best[i0:i1])
+            if not (np.isfinite(chunk.min()) and np.isfinite(best[i0:i1].max())):
+                raise NumericalError("matching: the costs under this kernel are not finite")
+            cells[i0:i1] = _winners(chunk, best[i0:i1], self.order, self._frames.workspace)
+            yield i0, i1, costs
 
     def decode(self, W: np.ndarray | None) -> FlowField:
         """Winner-take-all flow under ``W`` (None for ``W = I``), as
         :func:`decode_flow_argmax`."""
-        _, h, w = self.f1.shape
-        cells = np.empty((h, w), dtype=np.intp)
-        best = np.empty((h, w))
-        for i0, i1, costs in self._costs(W):
-            cells[i0:i1] = self._cells(costs[..., :w], best[i0:i1])
+        cells, best = np.empty(self.f1.shape[1:], np.intp), np.empty(self.f1.shape[1:])
+        for _ in self._decoded(W, cells, best):
+            pass
         return _cell_flow(cells, self.u, self.v)
 
     def loss_grad(self, W: np.ndarray) -> tuple[float, np.ndarray, float]:
         """Mean matching loss, its gradient on ``W`` and the AEPE of the decode."""
         u, v = self.u, self.v
         _, h, w = self.f1.shape
-        if self._picks is None:
-            self._picks = _label_picks(self.gt, u, v)
-        wt = self._frames.f1t.shape[1]
-        Z = self._frames.workspace("costs", (u * v, h, wt))
-        for _ in self._costs(W, Z):
-            pass
-        best = np.empty((h, w))
-        flow_h, flow_v = _cell_offsets(self._cells(Z[..., :w], best), u, v)
-        aepe = _endpoint_error(flow_h, flow_v, self.gt.data)
-        loss = _softmax_xent(Z[..., :w], best, self._picks)
-        return loss, _grad_w_from_costs(self.f1, self._frames, Z.reshape(u, v, h, wt)), aepe
+        if self._labels is None:
+            self._labels = _label_cells(self.gt, u, v)
+        cells, best, logp = np.empty((h, w), np.intp), np.empty((h, w)), np.empty((h, w))
+        for i0, i1, costs in self._decoded(W, cells, best):
+            logp[i0:i1] = _softmax_xent(costs[..., :w], best[i0:i1], self._labels[i0:i1], h * w)
+            if i1 < h:
+                _window_targets(self._frames, i0, costs)
+        dW = _grad_w_from_costs(self.f1, self._frames, costs.reshape(u, v, i1 - i0, -1))
+        flow_h, flow_v = _cell_offsets(cells, u, v)
+        return float(-logp.mean()), dW, _endpoint_error(flow_h, flow_v, self.gt.data)
 
 
 def matching_loss_grad_w(
@@ -474,8 +469,6 @@ def score_pair(
     A pair with no pixels has no mean error, so it is rejected.
     """
     problem = _MatchingProblem(f1, f2, gt, window, _workspace)
-    if f1.height * f1.width == 0:
-        raise ValueError(f"score_pair: frames of shape {f1.data.shape} have no pixels")
     scores = {}
     for name, W in (("identity", None), ("learned", learned.W)):
         flow = problem.decode(W)
@@ -502,8 +495,8 @@ def _train_and_score(
     n_train, n_eval = _split(instances)
     workspace = _Workspace()
     learned, records = train_kernel(data[:n_train], opt, window, _workspace=workspace)
-    # The workspace keeps training's full cost tensor; freeing the training
-    # pairs keeps scoring's peak memory below training's.
+    # Freeing the training pairs before scoring keeps a run's peak memory
+    # lower: by about 6 MiB resident at c=64, 64x64, 9x9 with 2 instances.
     del data[:n_train]
 
     results = []

@@ -40,8 +40,9 @@ class SPDKernel:
     Only ``P`` and the free parameters are inputs: ``lam`` is derived from
     ``diag_params`` by the arctan map and ``W = P^T diag(lam) P`` from
     ``(P, lam)``, once, at construction.  Every ``lam[i]`` is checked
-    strictly positive and finite before ``W`` is formed, which, with ``P``
-    orthogonal, makes ``W`` positive definite.
+    finite, and positive within a spread of ``1 / eps`` (past it, rounding
+    ``W`` can cost it its smallest eigenvalue), before ``W`` is formed,
+    which, with ``P`` orthogonal, makes ``W`` positive definite in float64.
     """
 
     P: OrthogonalMatrix
@@ -54,8 +55,9 @@ class SPDKernel:
         if self.skew_params.dim != self.P.dim or self.diag_params.dim != self.P.dim:
             raise ValueError("SPDKernel: parameter dimensions disagree with the factors")
         lam = _frozen(lambda_from_t(self.diag_params), "SPDKernel.lam", 1)
-        if np.any(lam <= 0.0):
-            raise ValueError("SPDKernel: lam must be strictly positive")
+        if lam.size and lam.min() <= np.finfo(float).eps * lam.max():
+            raise ValueError(f"SPDKernel: lam [{lam.min():.3g}, {lam.max():.3g}] is not "
+                             "positive within the spread float64 resolves")
         W = self.P.values.T @ (lam[:, None] * self.P.values)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "W", _frozen(0.5 * (W + W.T), "SPDKernel.W", 2))

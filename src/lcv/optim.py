@@ -189,27 +189,22 @@ def finite_difference_oracle(
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError("finite_difference_oracle: eps must lie in [1e-7, 1e-3]")
 
-    def probe(sv: np.ndarray, tv: np.ndarray) -> float:
-        value = float(loss(SkewParams(entries=sv, dim=s.dim), DiagParams(t=tv)))
+    n = s.entries.size
+
+    def probe(p: np.ndarray) -> float:
+        value = float(loss(SkewParams(entries=p[:n], dim=s.dim), DiagParams(t=p[n:])))
         if not np.isfinite(value):
             raise ValueError("finite_difference_oracle: loss returned a non-finite value")
         return value
 
-    sv = np.array(s.entries)
-    tv = np.array(t.t)
-    d_skew = np.zeros_like(sv)
-    for i in range(sv.size):
-        hi, lo = sv.copy(), sv.copy()
+    p = np.concatenate([s.entries, t.t])
+    grad = np.zeros_like(p)
+    for i in range(p.size):
+        hi, lo = p.copy(), p.copy()
         hi[i] += eps
         lo[i] -= eps
-        d_skew[i] = (probe(hi, tv) - probe(lo, tv)) / (2.0 * eps)
-    d_diag = np.zeros_like(tv)
-    for i in range(tv.size):
-        hi, lo = tv.copy(), tv.copy()
-        hi[i] += eps
-        lo[i] -= eps
-        d_diag[i] = (probe(sv, hi) - probe(sv, lo)) / (2.0 * eps)
-    return KernelGradient(d_skew=d_skew, d_diag=d_diag)
+        grad[i] = (probe(hi) - probe(lo)) / (2.0 * eps)
+    return KernelGradient(d_skew=grad[:n], d_diag=grad[n:])
 
 
 def step_benchmark(dim: int, mode: str, iters: int = 20, seed: int = 0) -> float:

@@ -7,6 +7,8 @@ P = [[1-s^2, 2s], [-2s, 1-s^2]] / (1+s^2), a plane rotation by
 lam(0) = 1, lam(1) = 3, lam(-1) = 1/3, with dlam/dt = 4/pi at zero.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,25 @@ class TestLambdaMaps:
             return
         lam = lambda_from_t(np.array([lo, hi]))
         assert lam[0] < lam[1]
+
+
+    @given(st.floats(min_value=-1e300, max_value=1e300), st.floats(min_value=-1e300, max_value=1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_safe_in_float64_up_to_1e300(self, a, b):
+        # Monotone, finite and positive, reciprocal under t -> -t to a few
+        # ulp, invertible, and silent: any numpy warning fails the test.
+        lo, hi = sorted((a, b))
+        t = np.array([lo, hi, -lo])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = lambda_from_t(t)
+            slope = dlambda_dt(t)
+            back = t_from_lambda(lam).t
+        assert np.all(np.isfinite(lam)) and np.all(lam > 0)
+        assert lam[0] <= lam[1]
+        assert abs(lam[0] * lam[2] - 1.0) <= 4 * np.finfo(float).eps
+        assert np.all(np.isfinite(slope)) and np.all(slope >= 0)
+        np.testing.assert_allclose(back, t, rtol=1e-12, atol=1e-15)
 
 
 class TestSOStarPath:

@@ -158,9 +158,11 @@ class TestCorrelation:
         b = learnable_cost_volume(f1, f2, k, 5, 5).data
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("h,w", [(3, 0), (0, 3), (0, 0)])
+    @pytest.mark.parametrize("h,w", [(3, 0), (0, 3), (0, 0), (0, 1)])
     def test_empty_frames_give_empty_volumes(self, h, w):
         f = FeatureMap(np.zeros((2, h, w)))
+        # Chunks hold at least one row, in a one-column frame too.
+        assert costvolume._Frames(f.data, f.data, 3, 5).rows >= 1
         assert vanilla_cost_volume(f, f, 3, 5).data.shape == (3, 5, h, w)
         cv = cost_volume_bilinear(f, f, np.eye(2), 3, 5)
         assert cv.data.shape == (3, 5, h, w)

@@ -615,37 +615,47 @@ class TestMatchingEngine:
 
     def test_outputs_do_not_depend_on_the_chunk_budget(self):
         # 23 rows are 23 chunks of 1 row, 8 of 3 rows (the last partial) or
-        # one chunk; 21 columns end in a partial tile.
-        c, h, w, u, v = 5, 23, 21, 7, 5
-        rng = np.random.default_rng(29)
-        f1, f2 = (FeatureMap(rng.standard_normal((c, h, w))) for _ in range(2))
-        gt = FlowField(np.stack([rng.integers(-2, 3, (h, w)), rng.integers(-3, 4, (h, w))]).astype(float))
-        W = rng.standard_normal((c, c)) + np.eye(c)
-        outputs = []
-        for rows in (1, 3, h):
-            with _budget(rows * _row_bytes(w, u, v)):
-                problem = _MatchingProblem(f1, f2, gt, (u, v))
-            assert problem._frames.rows == rows
-            loss, dW, aepe = problem.loss_grad(W)
-            outputs.append([_bits(x) for x in (loss, dW, aepe, problem.decode(W).data,
-                                                problem.decode(None).data)])
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        # one chunk; 21 columns end in a partial tile.  A one-column frame is
+        # one chunk under every budget: a one-pixel chunk would sum its 15
+        # cells' softmax in another order.
+        for c, h, w, u, v, budgets in ((5, 23, 21, 7, 5, (1, 3)), (3, 3, 1, 3, 5, (1, 2))):
+            rng = np.random.default_rng(29)
+            f1, f2 = (FeatureMap(rng.standard_normal((c, h, w))) for _ in range(2))
+            ru, rv = u // 2, v // 2
+            gt = FlowField(np.stack([rng.integers(-rv, rv + 1, (h, w)),
+                                     rng.integers(-ru, ru + 1, (h, w))]).astype(float))
+            W = rng.standard_normal((c, c)) + np.eye(c)
+            outputs = []
+            for rows in (*budgets, h):
+                with _budget(rows * _row_bytes(w, u, v)):
+                    problem = _MatchingProblem(f1, f2, gt, (u, v))
+                assert problem._frames.rows == (h if w == 1 else rows)
+                loss, dW, aepe = problem.loss_grad(W)
+                outputs.append([_bits(x) for x in (loss, dW, aepe, problem.decode(W).data,
+                                                    problem.decode(None).data)])
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @pytest.mark.parametrize("c, h, w, u, v", [(16, 32, 32, 5, 5), (8, 40, 36, 9, 9)])
     def test_own_workspace_buffers_share_the_frames_block(self, c, h, w, u, v):
         # The desk frame is one chunk; 40 rows are four chunks of at most 12,
-        # and 36 columns end in a partial tile.  Both decodes run out of the
-        # block: no role outgrows its slice.
+        # and 36 columns end in a partial tile.  Both decodes and training
+        # run out of the block: no role outgrows its slice, and the costs
+        # and their codes take one chunk.
         rng = np.random.default_rng(c + h)
         f1, f2 = (FeatureMap(rng.standard_normal((c, h, w))) for _ in range(2))
         problem = _MatchingProblem(f1, f2, FlowField(np.zeros((2, h, w))), (u, v))
         frames = problem._frames
-        problem.decode(np.eye(c) + 0.1 * rng.standard_normal((c, c)))
+        W = np.eye(c) + 0.1 * rng.standard_normal((c, c))
+        problem.decode(W)
         problem.decode(None)
-        assert {role for role, _ in frames.workspace._flat} == {"frame", "blocks", "costs", "hits"}
+        problem.loss_grad(W)
+        flat = {role: flat for (role, _), flat in frames.workspace._flat.items()}
+        assert flat.keys() == {"frame", "blocks", "costs", "hits"}
         block = frames.f1t.base
         assert block is not None and frames.strips.base is block
-        assert all(flat.base is block for flat in frames.workspace._flat.values())
+        assert all(a.base is block for a in flat.values())
+        chunk = u * v * min(frames.rows, h)
+        assert flat["costs"].size == chunk * frames.f1t.shape[1] and flat["hits"].size == chunk * w
 
     def test_a_shared_workspace_gets_no_role_from_the_frames(self):
         rng = np.random.default_rng(8)

@@ -71,6 +71,18 @@ class TestAssembly:
             k = random_kernel(rng, 8, scale=4.0)
             assert np.linalg.eigvalsh(k.W).min() > 0
 
+    @pytest.mark.parametrize("t_max, resolved", [(1e15, True), (1.5e15, False), (1e300, False)])
+    def test_lam_spreads_past_1_over_eps_rejected(self, t_max, resolved):
+        # lam = pi t_max against lam = 1: past 1 / eps = 4.5e15 the rounded W
+        # of a rotated kernel is more often indefinite than not.
+        make = lambda: assemble_kernel(SkewParams(entries=np.array([0.3]), dim=2),
+                                       DiagParams(t=np.array([t_max, 0.0])))
+        if resolved:
+            assert np.linalg.eigvalsh(make().W).min() > 0
+        else:
+            with pytest.raises(ValueError, match="spread float64 resolves"):
+                make()
+
     def test_eigenvalues_match_diag_map(self):
         rng = np.random.default_rng(31)
         t = rng.uniform(-2, 2, 6)
@@ -248,12 +260,12 @@ class TestSerialization:
             load_kernel(path)
 
     def test_unbounded_lam_rejected_before_forming_w(self, tmp_path):
-        # t = 1e300 maps to lam = inf; the kernel must refuse it before the
-        # product with P turns it into NaN.  The divide-by-zero inside the
-        # arctan map itself is silenced here.
+        # t = 1e300 maps to lam = 3.1e300 against lam = 1, a spread float64
+        # does not resolve; the kernel must refuse it before forming W, and
+        # the arctan map must not warn on the way.
         path = tmp_path / "huge.lcvk"
         path.write_bytes(struct.pack("<4sBI3d", b"LCVK", 1, 2, 0.0, 1e300, 0.0))
-        with np.errstate(divide="ignore"), warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="huge.lcvk"):
                 load_kernel(path)

@@ -29,8 +29,10 @@ import tempfile
 from pathlib import Path
 
 MODES = ("cayley", "stiefel")
+# 48x64 frames under a 3x3 window are two row chunks of the engine (38 and
+# 10 rows), so training and scoring both cross a chunk boundary.
 CONFIG = {
-    "synthetic": {"height": 16, "width": 16, "signal_channels": 3, "noise_channels": 3,
+    "synthetic": {"height": 48, "width": 64, "signal_channels": 3, "noise_channels": 3,
                   "max_displacement": 1, "seed": 7},
     # ``lcv eval`` perturbs the second frame; the sweep sets its own points.
     "perturb": {"gamma": 0.7, "noise_std": 0.05, "patch_radius": 2},
