@@ -21,6 +21,9 @@ gradient descent over the whole set.
 
 from __future__ import annotations
 
+import math
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +58,43 @@ def _require_finite(a: np.ndarray, who: str) -> None:
     # The extremes carry any NaN or infinity, with no mask the size of ``a``.
     if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError(f"{who}: values must be finite")
+
+
+def _read_payload(path, who: str, head: str, magic: bytes, version: int, shape_of):
+    """The header count and the float64 payload of the file format whose
+    header ``head`` is a struct of magic, version and one count.
+
+    ``shape_of(fh, count)`` reads any further header fields and returns the
+    payload's shape and how to name it in an error.  The payload is sized
+    with exact integers against the bytes left before it is read, so a
+    forged header can neither wrap the count nor ask for more memory than
+    the file holds; it is read straight into the array's own buffer.
+    """
+    size = struct.calcsize(head)
+    with open(path, "rb") as fh:
+        header = fh.read(size)
+        if len(header) != size:
+            raise ValueError(f"{who}: truncated header in {path!r}")
+        got, got_version, count = struct.unpack(head, header)
+        if got != magic:
+            raise ValueError(f"{who}: bad magic {got!r} in {path!r}")
+        if got_version != version:
+            raise ValueError(f"{who}: unsupported version {got_version}")
+        shape, declared = shape_of(fh, count)
+        nbytes = 8 * math.prod(shape)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if nbytes > left:
+            raise ValueError(f"{who}: truncated payload in {path!r}: {declared} "
+                             f"needs {nbytes} bytes, {left} left")
+        if nbytes < left:
+            raise ValueError(f"{who}: trailing bytes in {path!r}")
+        try:
+            arr = np.empty(shape, dtype="<f8")
+        except ValueError as err:  # more axes, or a larger empty shape, than numpy holds
+            raise ValueError(f"{who}: {path!r} declares a shape numpy cannot hold: {err}") from err
+        if fh.readinto(arr) != nbytes:
+            raise ValueError(f"{who}: truncated payload in {path!r}")
+    return count, arr
 
 
 class _Adopted:

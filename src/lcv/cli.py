@@ -153,12 +153,13 @@ def cmd_train(args) -> int:
     window = _window(cfg)
     count = _instances(cfg)
     check_window(window, spec.max_displacement)
-    data, _ = experiment_instances(spec, count)
     n_train, _ = _split(count)
+    # The instances are a prefix of the run's, so only the training pairs are drawn.
+    data, _ = experiment_instances(spec, n_train)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_kernel(f"{out}.step0.lcvk", identity_kernel(spec.channels))
-    learned, records = train_kernel(data[:n_train], opt, window)
+    learned, records = train_kernel(data, opt, window)
     save_kernel(f"{out}.lcvk", learned)
     with open(f"{out}.log", "w") as fh:
         for record in records:
@@ -191,7 +192,10 @@ def cmd_eval(args) -> int:
     f2 = read_tensor(data_dir / "f2.lcvt")
     _adopt(FeatureMap, f2.view())
     gt = _adopt(FlowField, read_tensor(data_dir / "flow.lcvt"))
-    _perturb_in_place(f2, p, seed=spec.seed, signal_channels=min(spec.signal_channels, len(f2)))
+    # Without ``--seed`` the stream is derived from the pair's seed, whose own
+    # stream drew the pair: replayed as noise, it would move no signal match.
+    seed = spec.seed if args.seed is not None else np.random.SeedSequence(spec.seed).generate_state(1)[0]
+    _perturb_in_place(f2, p, seed=int(seed), signal_channels=min(spec.signal_channels, len(f2)))
     f2 = _adopt(FeatureMap, f2)
     scores = score_pair(f1, f2, gt, kernel, window)
     metrics = {

@@ -19,13 +19,12 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import _Adopted, _frozen
+from .cayley import _Adopted, _frozen, _read_payload
 from .kernel import SPDKernel
 
 _TENSOR_MAGIC = b"LCVT"
@@ -427,35 +426,12 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     """Read an LCVT tensor back into a float64 array."""
-    with open(path, "rb") as fh:
-        header = fh.read(6)
-        if len(header) != 6:
-            raise ValueError(f"read_tensor: truncated header in {path!r}")
-        magic, version, rank = struct.unpack("<4sBB", header)
-        if magic != _TENSOR_MAGIC:
-            raise ValueError(f"read_tensor: bad magic {magic!r} in {path!r}")
-        if version != _TENSOR_VERSION:
-            raise ValueError(f"read_tensor: unsupported version {version}")
+
+    def shape_of(fh, rank):
         dim_bytes = fh.read(4 * rank)
         if len(dim_bytes) != 4 * rank:
             raise ValueError(f"read_tensor: truncated dimensions in {path!r}")
         shape = struct.unpack(f"<{rank}I", dim_bytes)
-        # Sized with exact integers before reading: a forged header must not
-        # wrap the element count or ask for more memory than the file holds.
-        nbytes = 8 * math.prod(shape)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if nbytes > left:
-            raise ValueError(
-                f"read_tensor: truncated payload in {path!r}: shape {shape} "
-                f"needs {nbytes} bytes, {left} left"
-            )
-        if nbytes < left:
-            raise ValueError(f"read_tensor: trailing bytes in {path!r}")
-        try:
-            arr = np.empty(shape, dtype="<f8")
-        except ValueError as err:  # more axes, or a larger empty shape, than numpy holds
-            raise ValueError(f"read_tensor: {path!r} declares a shape numpy cannot hold: {err}") from err
-        # The payload is read straight into the array's own buffer.
-        if fh.readinto(arr) != nbytes:
-            raise ValueError(f"read_tensor: truncated payload in {path!r}")
-    return arr
+        return shape, f"shape {shape}"
+
+    return _read_payload(path, "read_tensor", "<4sBB", _TENSOR_MAGIC, _TENSOR_VERSION, shape_of)[1]

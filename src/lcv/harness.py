@@ -352,13 +352,6 @@ class _MatchingProblem:
         return float(-logp.mean()), dW, _endpoint_error(flow_h, flow_v, self.gt.data)
 
 
-def matching_loss_grad_w(
-    f1: FeatureMap, f2: FeatureMap, kernel: SPDKernel, gt: FlowField, u: int, v: int
-) -> tuple[float, np.ndarray, float]:
-    """Loss, its gradient on ``W`` and the decoded AEPE for one instance."""
-    return _MatchingProblem(f1, f2, gt, (u, v)).loss_grad(kernel.W)
-
-
 def train_kernel(
     instances: list[tuple[FeatureMap, FeatureMap, FlowField]],
     opt: OptimizerConfig,
@@ -633,15 +626,6 @@ class GradCheckResult:
     passed: bool
 
 
-def _grad_rel_error(a, b) -> float:
-    va = np.concatenate([a.d_skew, a.d_diag])
-    vb = np.concatenate([b.d_skew, b.d_diag])
-    denom = max(np.linalg.norm(va), np.linalg.norm(vb))
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(va - vb) / denom)
-
-
 def run_gradcheck(
     seed: int = 0,
     tolerance: float = 1e-5,
@@ -663,21 +647,24 @@ def run_gradcheck(
     rng = np.random.default_rng(seed)
     checks: list[GradCheckResult] = []
 
+    def check(name, s, t, loss, dL_dW):
+        """The relative error of ``kernel_grad`` of ``dL_dW(W)`` against
+        central differences of ``loss`` at ``(s, t)``."""
+        kernel = assemble_kernel(s, t)
+        a, b = kernel_grad(kernel, dL_dW(kernel.W)), finite_difference_oracle(loss, s, t, eps=eps)
+        va, vb = (np.concatenate([g.d_skew, g.d_diag]) for g in (a, b))
+        denom = max(np.linalg.norm(va), np.linalg.norm(vb))
+        err = float(np.linalg.norm(va - vb) / denom) if denom else 0.0
+        checks.append(GradCheckResult(name, err, err < tolerance))
+
     sizes = (2, 6, 16)
     for i in range(trace_count):
         c = sizes[i % len(sizes)]
         s = SkewParams(entries=rng.uniform(-0.8, 0.8, c * (c - 1) // 2), dim=c)
         t = DiagParams(t=rng.uniform(-0.8, 0.8, c))
         A = rng.standard_normal((c, c))
-
-        def trace_loss(sp, tp, A=A):
-            return float(np.sum(A * assemble_kernel(sp, tp).W))
-
-        kernel = assemble_kernel(s, t)
-        analytic = kernel_grad(kernel, A)
-        numeric = finite_difference_oracle(trace_loss, s, t, eps=eps)
-        err = _grad_rel_error(analytic, numeric)
-        checks.append(GradCheckResult(f"trace_c{c}_{i}", err, err < tolerance))
+        check(f"trace_c{c}_{i}", s, t, lambda sp, tp: float(np.sum(A * assemble_kernel(sp, tp).W)),
+              lambda W: A)
 
     for i in range(matching_count):
         c, h, w = 4, 4, 4
@@ -686,18 +673,12 @@ def run_gradcheck(
         gt = FlowField(rng.integers(-1, 2, (2, h, w)).astype(float))
         s = SkewParams(entries=rng.uniform(-0.5, 0.5, c * (c - 1) // 2), dim=c)
         t = DiagParams(t=rng.uniform(-0.5, 0.5, c))
-
         # The probes take the loss through the public cost volume, without
         # the backward and the decode that the analytic side runs.
-        def match_loss(sp, tp, f1=f1, f2=f2, gt=gt):
-            cv = cost_volume_bilinear(f1, f2, assemble_kernel(sp, tp).W, 3, 3)
-            return matching_loss(cv, gt)[0]
+        def match_loss(sp, tp):
+            return matching_loss(cost_volume_bilinear(f1, f2, assemble_kernel(sp, tp).W, 3, 3), gt)[0]
 
-        kernel = assemble_kernel(s, t)
-        _, dW, _ = matching_loss_grad_w(f1, f2, kernel, gt, 3, 3)
-        analytic = kernel_grad(kernel, dW)
-        numeric = finite_difference_oracle(match_loss, s, t, eps=eps)
-        err = _grad_rel_error(analytic, numeric)
-        checks.append(GradCheckResult(f"matching_{i}", err, err < tolerance))
+        problem = _MatchingProblem(f1, f2, gt, (3, 3))
+        check(f"matching_{i}", s, t, match_loss, lambda W: problem.loss_grad(W)[1])
 
     return checks

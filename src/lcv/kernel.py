@@ -10,7 +10,6 @@ plain correlation" initialization.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -22,6 +21,7 @@ from .cayley import (
     OrthogonalMatrix,
     SkewParams,
     _frozen,
+    _read_payload,
     _require_finite,
     cayley_forward,
     dlambda_dt,
@@ -199,29 +199,10 @@ def save_kernel(path, kernel: SPDKernel) -> None:
 
 def load_kernel(path) -> SPDKernel:
     """Read an LCVK checkpoint and reassemble the kernel it describes."""
-    with open(path, "rb") as fh:
-        header = fh.read(9)
-        if len(header) != 9:
-            raise ValueError(f"load_kernel: truncated header in {path!r}")
-        magic, version, dim = struct.unpack("<4sBI", header)
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"load_kernel: bad magic {magic!r} in {path!r}")
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"load_kernel: unsupported version {version}")
-        n_skew = dim * (dim - 1) // 2
-        nbytes = 8 * (n_skew + dim)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if nbytes > left:
-            raise ValueError(
-                f"load_kernel: truncated payload in {path!r}: dim {dim} "
-                f"needs {nbytes} bytes, {left} left"
-            )
-        if nbytes < left:
-            raise ValueError(f"load_kernel: trailing bytes in {path!r}")
-        payload = fh.read(nbytes)
-    values = np.frombuffer(payload, dtype="<f8")
+    dim, values = _read_payload(path, "load_kernel", "<4sBI", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
+                                lambda fh, dim: ((dim * (dim + 1) // 2,), f"dim {dim}"))
+    n_skew = dim * (dim - 1) // 2
     try:
-        return assemble_kernel(SkewParams(entries=values[:n_skew].copy(), dim=dim),
-                               DiagParams(t=values[n_skew:].copy()))
+        return assemble_kernel(SkewParams(entries=values[:n_skew], dim=dim), DiagParams(t=values[n_skew:]))
     except (ValueError, NumericalError) as err:
         raise ValueError(f"load_kernel: {path!r} holds no valid kernel: {err}") from err

@@ -421,9 +421,36 @@ class TestEval:
         for name, container in zip(("f1.lcvt", "f2.lcvt", "flow.lcvt"), scored):
             assert container.data is read[name]
             assert not container.data.flags.writeable and container.data.flags.owndata
-        want = perturb(FeatureMap(read_tensor(data / "f2.lcvt")), PerturbSpec(noise_std=0.05), seed=3,
+        # Without ``--seed`` the perturbation seed is derived from the pair's seed, 3.
+        seed = int(np.random.SeedSequence(3).generate_state(1)[0])
+        want = perturb(FeatureMap(read_tensor(data / "f2.lcvt")), PerturbSpec(noise_std=0.05), seed=seed,
                        signal_channels=2)
         assert scored[1].data.tobytes() == want.data.tobytes()
+
+    def test_default_noise_is_not_the_generation_stream(self, tmp_path, tiny_config, monkeypatch):
+        # ``default_rng(3)`` drew the pair, its signal first.  Perturbing with
+        # that stream adds 0.05 times those very draws to the signal channels,
+        # which turns no signal vector.  ``--seed 3`` asks for it; the default
+        # must not.
+        data = tmp_path / "data"
+        main(["generate", "--config", tiny_config, "--out", str(data)])
+        save_kernel(tmp_path / "k.lcvk", identity_kernel(4))
+        scored = []
+
+        def recording_score(f1, f2, *args, _score=cli.score_pair, **kwargs):
+            scored.append(f2.data)
+            return _score(f1, f2, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "score_pair", recording_score)
+        for extra in ([], ["--seed", "3"]):
+            assert main(["eval", "--checkpoint", str(tmp_path / "k.lcvk"), "--data", str(data),
+                         "--out", str(tmp_path / "m.json"), *extra]) == 0
+        f2 = read_tensor(data / "f2.lcvt")
+        replay = 0.05 * np.random.default_rng(3).standard_normal(f2[:2].shape)
+        assert not np.allclose(scored[0][:2] - f2[:2], replay, rtol=1e-6, atol=1e-12)
+        assert np.allclose(scored[1][:2] - f2[:2], replay, rtol=1e-6, atol=1e-12)
+        want = perturb(FeatureMap(f2), PerturbSpec(noise_std=0.05), seed=3, signal_channels=2)
+        assert scored[1].tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("frame", [
         pytest.param(lambda f: np.where(np.arange(f.size).reshape(f.shape) == 5, np.inf, f), id="inf"),

@@ -39,7 +39,6 @@ from lcv.harness import (
     experiment_instances,
     generate,
     matching_loss,
-    matching_loss_grad_w,
     perturb,
     report,
     run_experiment,
@@ -382,7 +381,7 @@ class TestMatchingLoss:
         f2 = FeatureMap(rng.standard_normal((c, 4, 4)))
         gt = FlowField(rng.integers(-1, 2, (2, 4, 4)).astype(float))
         k = identity_kernel(c)
-        loss0, dW, _ = matching_loss_grad_w(f1, f2, k, gt, 3, 3)
+        loss0, dW, _ = _MatchingProblem(f1, f2, gt, (3, 3)).loss_grad(k.W)
         D = rng.standard_normal((c, c))
         eps = 1e-6
 
@@ -710,7 +709,7 @@ class TestMatchingEngine:
             return matching_loss(cv, gt)[0]
 
         kernel = assemble_kernel(s, t)
-        _, dW, _ = matching_loss_grad_w(f1, f2, kernel, gt, u, v)
+        _, dW, _ = _MatchingProblem(f1, f2, gt, (u, v)).loss_grad(kernel.W)
         analytic = kernel_grad(kernel, dW)
         numeric = finite_difference_oracle(loss, s, t, eps=1e-5)
         a = np.concatenate([analytic.d_skew, analytic.d_diag])
@@ -790,7 +789,7 @@ def reference_train(instances, opt, window):
     for step in range(opt.max_steps + 1):
         total_loss, train_aepe, dW = 0.0, 0.0, np.zeros((c, c))
         for f1, f2, gt in instances:
-            loss_i, dW_i, aepe_i = matching_loss_grad_w(f1, f2, kernel, gt, *window)
+            loss_i, dW_i, aepe_i = _MatchingProblem(f1, f2, gt, window).loss_grad(kernel.W)
             total_loss += loss_i
             dW += dW_i
             train_aepe += aepe_i
@@ -851,6 +850,17 @@ class TestExperiment:
         np.testing.assert_array_equal(seeds, seeds2)
         for (a1, a2, af), (b1, b2, bf) in zip(data, again):
             np.testing.assert_array_equal(a1.data, b1.data)
+
+    @pytest.mark.parametrize("short, full", [(1, 2), (2, 5), (8, 10)])
+    def test_fewer_instances_are_a_prefix(self, short, full):
+        # ``lcv train`` draws only the training pairs of a run: the first
+        # ``short`` instances and their seeds do not depend on the count.
+        spec = replace(TINY, height=6, width=6)
+        data, seeds = experiment_instances(spec, short)
+        more, more_seeds = experiment_instances(spec, full)
+        assert seeds[:short].tobytes() == more_seeds[:short].tobytes()
+        for pair, other in zip(data, more):
+            assert [x.data.tobytes() for x in pair] == [x.data.tobytes() for x in other]
 
 
     def test_a_shared_workspace_scores_as_fresh_ones(self):

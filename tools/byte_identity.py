@@ -5,12 +5,15 @@
 For each tree and each optimizer mode (``cayley``, ``stiefel``) it runs
 ``lcv generate``, ``lcv train``, ``lcv eval`` (on the trained checkpoint)
 and ``lcv sweep`` on one small fixed config, whose perturbation (gamma,
-noise and a disc) ``lcv eval`` applies, and once per tree it runs
-``lcv gradcheck`` and writes its stdout to ``gradcheck.txt``.  Once per
-tree it also writes ``perturbed_f2.sha256``, the SHA-256 of the bytes of
-the second frame that ``lcv eval`` scores, as its own ``cmd_eval`` reads
-and perturbs it, which a change to the perturbation that moves no decoded
-match still shows.  Each tree's own ``src`` comes first on ``PYTHONPATH``,
+noise and a disc) ``lcv eval`` applies.  ``lcv eval`` runs twice: with the
+default perturbation seed (``metrics.json``) and with ``--seed``
+``EVAL_SEED`` (``metrics_seed.json``), the path of the benchmark's eval
+calls.  Once per tree it runs ``lcv gradcheck`` and writes its stdout to
+``gradcheck.txt``.  Once per tree and per eval seed it also writes
+``perturbed_f2.sha256`` and ``perturbed_f2_seed.sha256``, the SHA-256 of
+the bytes of the second frame that ``lcv eval`` scores, as its own
+``cmd_eval`` reads and perturbs it, which a change to the perturbation
+that moves no decoded match still shows.  Each tree's own ``src`` comes first on ``PYTHONPATH``,
 and BLAS runs on one thread unless the environment sets otherwise.  Every file written must match the
 other tree's.  The train log is compared with ``wall_ms`` dropped from each
 of its JSON lines, since wall times differ between any two runs.  Prints
@@ -41,11 +44,13 @@ CONFIG = {
     "instances": 5,
     "sweep": {"seeds": [7, 8], "gamma_grid": [0.5, 1.0], "noise_grid": [0.05], "patch_grid": [2]},
 }
+# The explicit ``lcv eval --seed``.
+EVAL_SEED = "11"
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # Runs ``lcv eval`` in-process on the checkpoint ``argv[1]`` and the pair in
-# ``argv[2]``, and prints the SHA-256 of the second frame it scores: the
+# ``argv[2]``, with any further arguments appended, and prints the SHA-256 of the second frame it scores: the
 # frame as the tree's own ``cmd_eval`` reads and perturbs it.
 PERTURBED_DIGEST = """
 import contextlib, hashlib, io, os, sys
@@ -56,7 +61,7 @@ def score_pair(f1, f2, *args, _score_pair=cli.score_pair, **kwargs):
     return _score_pair(f1, f2, *args, **kwargs)
 cli.score_pair = score_pair
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["eval", "--checkpoint", sys.argv[1], "--data", sys.argv[2], "--out", os.devnull])
+    code = cli.main(["eval", "--checkpoint", sys.argv[1], "--data", sys.argv[2], "--out", os.devnull, *sys.argv[3:]])
 if code:
     sys.exit(code)
 print(digests[0])
@@ -74,17 +79,18 @@ def python(tree: Path, *args, label) -> str:
     return done.stdout
 
 
-def write_perturbed_digest(tree: Path, checkpoint: Path, data: Path, out: Path) -> None:
+def write_perturbed_digest(tree: Path, checkpoint: Path, data: Path, out: Path, *eval_args) -> None:
     """Write to ``out`` the digest of ``data``'s second frame as ``tree``'s
-    ``lcv eval`` of ``checkpoint`` perturbs it."""
-    out.write_text(python(tree, "-c", PERTURBED_DIGEST, checkpoint, data,
+    ``lcv eval`` of ``checkpoint``, given ``eval_args``, perturbs it."""
+    out.write_text(python(tree, "-c", PERTURBED_DIGEST, checkpoint, data, *eval_args,
                           label="perturbed-frame digest"))
 
 
 def run_recipe(tree: Path, out: Path) -> None:
     """Write every mode's outputs from ``tree`` under ``out/<mode>``,
     ``lcv gradcheck``'s report to ``out/gradcheck.txt`` and the perturbed
-    frame's digest to ``out/perturbed_f2.sha256``."""
+    frame's digests to ``out/perturbed_f2.sha256`` (default seed) and
+    ``out/perturbed_f2_seed.sha256`` (``--seed EVAL_SEED``)."""
 
     def lcv(*args, label) -> str:
         return python(tree, "-m", "lcv.cli", *args, label=f"lcv {label}")
@@ -97,11 +103,14 @@ def run_recipe(tree: Path, out: Path) -> None:
                      ["train", "--config", config, "--out", d / "ck"],
                      ["eval", "--checkpoint", d / "ck.lcvk", "--data", d / "data",
                       "--out", d / "metrics.json"],
+                     ["eval", "--checkpoint", d / "ck.lcvk", "--data", d / "data",
+                      "--out", d / "metrics_seed.json", "--seed", EVAL_SEED],
                      ["sweep", "--config", config, "--out", d / "sweep"]):
             lcv(*args, label=f"{args[0]} ({mode})")
     (out / "gradcheck.txt").write_text(lcv("gradcheck", label="gradcheck"))
-    write_perturbed_digest(tree, out / MODES[0] / "ck.lcvk", out / MODES[0] / "data",
-                           out / "perturbed_f2.sha256")
+    for name, eval_args in (("perturbed_f2", ()), ("perturbed_f2_seed", ("--seed", EVAL_SEED))):
+        write_perturbed_digest(tree, out / MODES[0] / "ck.lcvk", out / MODES[0] / "data",
+                               out / f"{name}.sha256", *eval_args)
 
 
 def comparable(path: Path) -> bytes:
