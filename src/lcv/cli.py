@@ -108,13 +108,6 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def _instances(cfg: dict) -> int:
-    # The train/eval split needs one instance on each side.
-    if cfg["instances"] < 2:
-        raise ValueError(f"config: instances must be at least 2, got {cfg['instances']}")
-    return cfg["instances"]
-
-
 def _synthetic(cfg: dict, seed_override: int | None) -> SyntheticSpec:
     section = dict(cfg["synthetic"])
     if seed_override is not None:
@@ -151,9 +144,8 @@ def cmd_train(args) -> int:
     spec = _synthetic(cfg, args.seed)
     opt = OptimizerConfig(**cfg["optimizer"])
     window = _window(cfg)
-    count = _instances(cfg)
+    n_train, _ = _split(cfg["instances"])
     check_window(window, spec.max_displacement)
-    n_train, _ = _split(count)
     # The instances are a prefix of the run's, so only the training pairs are drawn.
     data, _ = experiment_instances(spec, n_train)
     out = Path(args.out)
@@ -225,7 +217,6 @@ def cmd_sweep(args) -> int:
     grids = ("gamma_grid", "noise_grid", "patch_grid")
     if not any(sweep_cfg[g] for g in grids):
         raise ValueError(f"config: sweep.{', sweep.'.join(grids)} are all empty")
-    instances = _instances(cfg)
     results = run_sweep(
         spec,
         opt,
@@ -234,7 +225,7 @@ def cmd_sweep(args) -> int:
         gamma_grid=tuple(sweep_cfg["gamma_grid"]),
         noise_grid=tuple(sweep_cfg["noise_grid"]),
         patch_grid=tuple(sweep_cfg["patch_grid"]),
-        instances=instances,
+        instances=cfg["instances"],
     )
     csv_path, json_path = report(results, args.out)
     print(f"sweep: {len(results)} rows -> {csv_path}, {json_path}")

@@ -262,17 +262,17 @@ def _window_targets(frames: _Frames, i0: int, dC: np.ndarray) -> np.ndarray:
     return B
 
 
-def _correlate(f1: np.ndarray, f2: np.ndarray, W: np.ndarray | None, u: int, v: int) -> np.ndarray:
-    """Costs ``(u * v, h, w)`` of ``f1`` against ``W f2`` (``f2`` itself when
-    ``W`` is None), one plane per window cell in row-major order.
+def _correlate(f1: FeatureMap, f2: FeatureMap, W: np.ndarray | None, u: int, v: int) -> CostVolume:
+    """Cost volume of ``f1`` against ``W f2`` (``f2`` itself when ``W`` is None).
 
     The reduction order is fixed, so repeated runs are bitwise identical.
     """
-    frames = _Frames(f1, f2, u, v)
+    _check_pair(f1, f2, u, v)
+    frames = _Frames(f1.data, f2.data, u, v)
     out = np.empty((u * v, frames.h, frames.w))
     for i0, i1, costs in _window_costs(frames, W):
         out[:, i0:i1] = costs[..., : frames.w]
-    return out
+    return _adopt(CostVolume, out.reshape(u, v, frames.h, frames.w))
 
 
 def cost_volume_bilinear(f1: FeatureMap, f2: FeatureMap, W: np.ndarray, u: int, v: int) -> CostVolume:
@@ -281,26 +281,20 @@ def cost_volume_bilinear(f1: FeatureMap, f2: FeatureMap, W: np.ndarray, u: int, 
     This is the generic workhorse: it is linear in ``W``, and both the
     vanilla and the SPD-kernel volumes are special cases.
     """
-    _check_pair(f1, f2, u, v)
     W = np.asarray(W, dtype=float)
     c = f1.channels
     if W.shape != (c, c):
         raise ValueError(f"cost_volume_bilinear: W shape {W.shape}, expected {(c, c)}")
-    return CostVolume(_correlate(f1.data, f2.data, W, u, v).reshape(u, v, f1.height, f1.width))
+    return _correlate(f1, f2, W, u, v)
 
 
 def vanilla_cost_volume(f1: FeatureMap, f2: FeatureMap, u: int, v: int) -> CostVolume:
     """Plain inner-product cost volume over a ``u x v`` displacement window."""
-    _check_pair(f1, f2, u, v)
-    return CostVolume(_correlate(f1.data, f2.data, None, u, v).reshape(u, v, f1.height, f1.width))
+    return _correlate(f1, f2, None, u, v)
 
 
 def learnable_cost_volume(f1: FeatureMap, f2: FeatureMap, kernel: SPDKernel, u: int, v: int) -> CostVolume:
     """Cost volume under the elliptical product defined by an SPD kernel."""
-    if f1.channels != kernel.dim:
-        raise ValueError(
-            f"learnable_cost_volume: {f1.channels} channels vs kernel dim {kernel.dim}"
-        )
     return cost_volume_bilinear(f1, f2, kernel.W, u, v)
 
 
@@ -356,6 +350,16 @@ def _cell_offsets(cells: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.nda
     """Integer (horizontal, vertical) displacements of the row-major window
     cells ``cells`` ``(h, w)``."""
     return cells % v - (v - 1) // 2, cells // v - (u - 1) // 2
+
+
+def _label_cells(gt: FlowField, u: int, v: int) -> np.ndarray:
+    """Row-major window cells ``(h, w)`` of the rounded flow ``gt``; inverts :func:`_cell_offsets`."""
+    ru, rv = (u - 1) // 2, (v - 1) // 2
+    dx = np.rint(gt.data[0]).astype(int)
+    dy = np.rint(gt.data[1]).astype(int)
+    if np.any(np.abs(dx) > rv) or np.any(np.abs(dy) > ru):
+        raise ValueError(f"ground-truth flow falls outside the {u}x{v} window")
+    return (dy + ru) * v + (dx + rv)
 
 
 def _cell_flow(cells: np.ndarray, u: int, v: int) -> FlowField:

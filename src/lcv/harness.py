@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .costvolume import (
     _check_pair,
     _endpoint_error,
     _Frames,
+    _label_cells,
     _window_costs,
     _window_targets,
     _winners,
@@ -98,6 +99,9 @@ class PerturbSpec:
             raise ValueError("PerturbSpec: patch_radius must be nonnegative")
 
 
+_METRIC_NAMES = ("aepe_identity", "aepe_learned", "fl_identity", "fl_learned")
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """Held-out metrics of one training run under one perturbation."""
@@ -111,7 +115,7 @@ class ExperimentResult:
     perturb: PerturbSpec
 
     def __post_init__(self):
-        for name in ("aepe_identity", "aepe_learned", "fl_identity", "fl_learned"):
+        for name in _METRIC_NAMES:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"ExperimentResult: {name} must be finite and nonnegative")
@@ -208,9 +212,8 @@ def _perturb_in_place(data: np.ndarray, p: PerturbSpec, seed: int,
     cs = c if signal_channels is None else int(signal_channels)
     if not 0 <= cs <= c:
         raise ValueError(f"perturb: signal_channels {cs} outside [0, {c}]")
+    _check_disc(p, h, w)
     r = p.patch_radius
-    if r > 0 and 2 * r + 1 > min(h, w):
-        raise ValueError(f"perturb: disc of radius {r} does not fit a {h}x{w} frame")
     rng = np.random.default_rng(seed)
 
     # Leading channels on the gamma curve; a channel with no pixels has no range.
@@ -235,14 +238,11 @@ def _perturb_in_place(data: np.ndarray, p: PerturbSpec, seed: int,
         data[:, mask] = rng.standard_normal((c, int(mask.sum())))
 
 
-def _label_cells(gt: FlowField, u: int, v: int) -> np.ndarray:
-    """Every pixel's ground-truth cell ``(h, w)`` in row-major window order."""
-    ru, rv = (u - 1) // 2, (v - 1) // 2
-    dx = np.rint(gt.data[0]).astype(int)
-    dy = np.rint(gt.data[1]).astype(int)
-    if np.any(np.abs(dx) > rv) or np.any(np.abs(dy) > ru):
-        raise ValueError("matching_loss: ground-truth flow falls outside the window")
-    return (dy + ru) * v + (dx + rv)
+def _check_disc(p: PerturbSpec, h: int, w: int) -> None:
+    """Reject a perturbation whose disc does not fit an ``h x w`` frame."""
+    r = p.patch_radius
+    if r > 0 and 2 * r + 1 > min(h, w):
+        raise ValueError(f"perturb: disc of radius {r} does not fit a {h}x{w} frame")
 
 
 def _softmax_xent(Z: np.ndarray, best: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
@@ -421,7 +421,7 @@ def train_kernel(
 def _split(instances: int) -> tuple[int, int]:
     """80/20 train/eval split with at least one instance on each side."""
     if instances < 2:
-        raise ValueError("run_experiment: need at least 2 instances to split")
+        raise ValueError(f"instances must be at least 2, got {instances}")
     n_eval = max(1, instances // 5)
     return instances - n_eval, n_eval
 
@@ -446,9 +446,6 @@ def experiment_instances(
     seeds = np.random.SeedSequence(spec.seed).generate_state(2 * instances, dtype=np.uint64)
     data = [generate(replace(spec, seed=int(seeds[i]))) for i in range(instances)]
     return data, seeds
-
-
-_METRIC_NAMES = ("aepe_identity", "aepe_learned", "fl_identity", "fl_learned")
 
 
 def score_pair(
@@ -482,10 +479,13 @@ def _train_and_score(
     Each point perturbs the second frame of every held-out instance with
     that instance's own perturbation seed, so every point sees the same
     corruption draws.  Training and scoring write into one workspace.
+    Every argument is checked before the first pair is drawn.
     """
     check_window(window, spec.max_displacement)
-    data, seeds = experiment_instances(spec, instances)
     n_train, n_eval = _split(instances)
+    for p in points:
+        _check_disc(p, spec.height, spec.width)
+    data, seeds = experiment_instances(spec, instances)
     workspace = _Workspace()
     learned, records = train_kernel(data[:n_train], opt, window, _workspace=workspace)
     # Freeing the training pairs before scoring keeps a run's peak memory
@@ -556,10 +556,7 @@ def run_sweep(
             for r in _train_and_score(replace(spec, seed=int(seed)), points, opt, window, instances)]
 
 
-_CSV_COLUMNS = (
-    "seed", "gamma", "noise_std", "patch_radius", "steps",
-    "aepe_identity", "aepe_learned", "fl_identity", "fl_learned",
-)
+_CSV_COLUMNS = ("seed", "gamma", "noise_std", "patch_radius", "steps") + _METRIC_NAMES
 
 
 def report(results: list[ExperimentResult], out_dir) -> tuple[Path, Path]:
@@ -576,10 +573,7 @@ def report(results: list[ExperimentResult], out_dir) -> tuple[Path, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def sort_key(r: ExperimentResult):
-        return (r.perturb.gamma, r.perturb.noise_std, r.perturb.patch_radius, r.seed)
-
-    ordered = sorted(results, key=sort_key)
+    ordered = sorted(results, key=lambda r: (astuple(r.perturb), r.seed))
     csv_path = out / "results.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -588,22 +582,15 @@ def report(results: list[ExperimentResult], out_dir) -> tuple[Path, Path]:
             writer.writerow([
                 r.seed, repr(r.perturb.gamma), repr(r.perturb.noise_std),
                 r.perturb.patch_radius, r.steps,
-                repr(r.aepe_identity), repr(r.aepe_learned),
-                repr(r.fl_identity), repr(r.fl_learned),
+                *(repr(getattr(r, name)) for name in _METRIC_NAMES),
             ])
 
-    groups: dict[tuple, list[ExperimentResult]] = {}
+    groups: dict[PerturbSpec, list[ExperimentResult]] = {}
     for r in ordered:
-        groups.setdefault((r.perturb.gamma, r.perturb.noise_std, r.perturb.patch_radius), []).append(r)
+        groups.setdefault(r.perturb, []).append(r)
     summary = {"groups": []}
-    for (gamma, noise_std, patch_radius), members in groups.items():
-        entry = {
-            "gamma": gamma,
-            "noise_std": noise_std,
-            "patch_radius": patch_radius,
-            "seeds": len(members),
-            "metrics": {},
-        }
+    for p, members in groups.items():
+        entry = {**asdict(p), "seeds": len(members), "metrics": {}}
         for name in _METRIC_NAMES:
             values = np.array([getattr(r, name) for r in members])
             q1, med, q3 = np.percentile(values, [25.0, 50.0, 75.0])

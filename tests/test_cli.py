@@ -310,7 +310,7 @@ class TestTrain:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"instances": count}))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "ck")]) == 1
-        assert "config: instances must be at least 2" in capsys.readouterr().err
+        assert f"error: instances must be at least 2, got {count}\n" in capsys.readouterr().err
         assert not (tmp_path / "ck.step0.lcvk").exists()
 
     @pytest.mark.parametrize("section, key, value", [
@@ -671,9 +671,24 @@ class TestSweep:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "s"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
-        assert "config: instances must be at least 2" in capsys.readouterr().err
+        assert f"error: instances must be at least 2, got {count}\n" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_a_disc_too_large_exits_1_before_training(self, tmp_path, tiny_config, capsys,
+                                                      monkeypatch):
+        def trained(*args, **kwargs):
+            pytest.fail("train_kernel was called")
+
+        monkeypatch.setattr("lcv.harness.train_kernel", trained)
+        cfg = json.loads(Path(tiny_config).read_text())
+        cfg["sweep"]["patch_grid"] = [16]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "disc of radius 16 does not fit a 12x12 frame" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_grids_empty_exits_1_before_training(self, tmp_path, tiny_config, capsys,
                                                      monkeypatch):

@@ -748,6 +748,17 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_kernel([], FAST_OPT, (3, 3))
 
+    def test_grad_tolerance_stops_at_the_identity(self):
+        # run_experiment with 2 instances trains on the first of these.
+        data, _ = experiment_instances(TINY, 2)
+        at_identity = train_kernel(data[:1], FAST_OPT, (3, 3))[1][0].grad_norm
+        assert at_identity > 0.0
+        opt = replace(FAST_OPT, grad_tolerance=2.0 * at_identity)
+        kernel, records = train_kernel(data[:1], opt, (3, 3))
+        assert len(records) == 1 and records[-1].step == 0
+        assert kernel.W.tobytes() == identity_kernel(TINY.channels).W.tobytes()
+        assert run_experiment(TINY, PerturbSpec(), opt, (3, 3), instances=2).steps == 0
+
     @pytest.mark.parametrize("mode", ["cayley", "stiefel"])
     def test_matches_reference_loop(self, mode):
         opt = OptimizerConfig(learning_rate=0.05, max_steps=12, grad_tolerance=1e-9, mode=mode)
@@ -814,6 +825,10 @@ def reference_train(instances, opt, window):
     return best, records
 
 
+def _no_training(*args, **kwargs):
+    pytest.fail("train_kernel was called")
+
+
 class TestExperiment:
     def test_trivial_configuration_is_solved_exactly(self):
         spec = SyntheticSpec(height=10, width=10, signal_channels=2,
@@ -839,8 +854,15 @@ class TestExperiment:
             run_experiment(TINY, PerturbSpec(), FAST_OPT, (4, 3), instances=2)
 
     def test_too_few_instances_rejected(self):
-        with pytest.raises(ValueError):
-            run_experiment(TINY, PerturbSpec(), FAST_OPT, (3, 3), instances=1)
+        # A negative count names the rule too, rather than failing in the seed draw.
+        for n in (-3, 0, 1):
+            with pytest.raises(ValueError, match=rf"^instances must be at least 2, got {n}$"):
+                run_experiment(TINY, PerturbSpec(), FAST_OPT, (3, 3), instances=n)
+
+    def test_a_disc_too_large_rejected_before_training(self, monkeypatch):
+        monkeypatch.setattr(harness, "train_kernel", _no_training)
+        with pytest.raises(ValueError, match="disc of radius 6 does not fit a 12x12 frame"):
+            run_experiment(TINY, PerturbSpec(patch_radius=6), FAST_OPT, (3, 3), instances=2)
 
     def test_seed_derivation_shared_with_sweep(self):
         data, seeds = experiment_instances(TINY, 4)
@@ -929,6 +951,13 @@ class TestSweep:
         )
         assert len(results) == 6
         assert {r.seed for r in results} == {1, 2}
+
+    def test_a_disc_too_large_rejected_before_training(self, monkeypatch):
+        # The last point of the grid fails, so no seed trains a kernel.
+        monkeypatch.setattr(harness, "train_kernel", _no_training)
+        with pytest.raises(ValueError, match="disc of radius 16 does not fit a 12x12 frame"):
+            run_sweep(TINY, FAST_OPT, (3, 3), [1, 2], gamma_grid=(0.5,), noise_grid=(0.05,),
+                      patch_grid=(2, 16), instances=2)
 
     def test_window_must_cover_displacement(self):
         spec = SyntheticSpec(height=10, width=10, signal_channels=2,
