@@ -26,6 +26,7 @@ from .costvolume import (
     epe,
     fl_all,
     learnable_cost_volume,
+    matching_loss,
     read_tensor,
     vanilla_cost_volume,
     write_tensor,
@@ -36,7 +37,6 @@ from .harness import (
     PerturbSpec,
     SyntheticSpec,
     generate,
-    matching_loss,
     perturb,
     report,
     run_experiment,

@@ -1,11 +1,14 @@
-"""Cost volumes, elliptical feature matching, and flow metrics.
+"""Cost volumes, the matching engine, and flow metrics.
 
 A cost volume stacks, for every pixel of a reference feature map, the
 channel inner products against a window of displaced candidates in a
 second map.  ``vanilla_cost_volume`` uses the plain inner product;
 ``learnable_cost_volume`` replaces it with the elliptical product
 ``f1^T W f2`` for an SPD kernel ``W``.  Window cells that fall outside the
-second map contribute zero, matching zero padding.
+second map contribute zero, matching zero padding.  ``matching_loss`` is
+the per-pixel softmax cross-entropy over the window; ``_MatchingProblem``
+takes one pair's costs a row chunk at a time into that loss, its gradient
+on ``W`` and the winner-take-all decode, in a shared ``_Workspace``.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import _Adopted, _frozen, _read_payload
+from .cayley import NumericalError, _Adopted, _frozen, _read_payload
 from .kernel import SPDKernel
 
 _TENSOR_MAGIC = b"LCVT"
@@ -386,15 +389,16 @@ def epe(pred: FlowField, gt: FlowField) -> float:
         raise ValueError(
             f"epe: flow shapes disagree, {pred.data.shape} vs {gt.data.shape}"
         )
-    return _endpoint_error(pred.data[0], pred.data[1], gt.data)
+    return float(np.mean(_endpoint_errors(pred.data[0], pred.data[1], gt.data)))
 
 
-def _endpoint_error(flow_h: np.ndarray, flow_v: np.ndarray, gt: np.ndarray) -> float:
-    """Mean Euclidean distance of the flow planes ``flow_h``, ``flow_v``
-    ``(h, w)`` from the flow ``gt`` ``(2, h, w)``: the formula of :func:`epe`."""
+def _endpoint_errors(flow_h: np.ndarray, flow_v: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Per-pixel Euclidean distance ``(h, w)`` of the flow planes ``flow_h``,
+    ``flow_v`` ``(h, w)`` from the flow ``gt`` ``(2, h, w)``: the one endpoint
+    error of :func:`epe`, :func:`fl_all` and the training AEPE."""
     dh = flow_h - gt[0]
     dv = flow_v - gt[1]
-    return float(np.mean(np.sqrt(dh ** 2 + dv ** 2)))
+    return np.sqrt(dh ** 2 + dv ** 2)
 
 
 def fl_all(pred: FlowField, gt: FlowField) -> float:
@@ -403,11 +407,117 @@ def fl_all(pred: FlowField, gt: FlowField) -> float:
         raise ValueError(
             f"fl_all: flow shapes disagree, {pred.data.shape} vs {gt.data.shape}"
         )
-    diff = pred.data - gt.data
-    err = np.sqrt(diff[0] ** 2 + diff[1] ** 2)
+    err = _endpoint_errors(pred.data[0], pred.data[1], gt.data)
     mag = np.sqrt(gt.data[0] ** 2 + gt.data[1] ** 2)
     outlier = (err > 3.0) & (err > 0.05 * mag)
     return float(100.0 * np.mean(outlier))
+
+
+def _softmax_xent(Z: np.ndarray, best: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Per-pixel log-likelihoods of ``labels`` ``(rows, w)`` (from
+    :func:`_label_cells`) under the logits ``Z`` ``(cells, rows, w)``.
+
+    ``best`` is the per-pixel maximum of ``Z``.  Works in place: on return
+    ``Z`` holds the gradient of a mean cross-entropy over ``n`` pixels.
+    """
+    rows, w = labels.shape
+    picks = labels, np.arange(rows)[:, None], np.arange(w)
+    Z -= best
+    logp = Z[picks]
+    np.exp(Z, out=Z)
+    denom = Z.sum(axis=0)
+    logp -= np.log(denom)
+    Z /= denom
+    Z[picks] -= 1.0
+    Z /= n
+    return logp
+
+
+def matching_loss(cv, gt: FlowField) -> tuple[float, np.ndarray]:
+    """Per-pixel softmax cross-entropy over the displacement window.
+
+    The ``u * v`` costs at each pixel act as logits and the ground-truth
+    displacement cell as the label.  Returns the mean loss and its
+    gradient with respect to every cost entry.
+    """
+    u, v, h, w = cv.data.shape
+    labels = _label_cells(gt, u, v)
+    Z = cv.data.reshape(u * v, h, w).copy()
+    return float(-_softmax_xent(Z, Z.max(axis=0), labels, h * w).mean()), Z.reshape(u, v, h, w)
+
+
+def _grad_w_from_costs(f1: np.ndarray, frames: _Frames, dC: np.ndarray) -> np.ndarray:
+    """``dL/dW[a, b] = sum_klij dC[k,l,i,j] f1[a,i,j] f2[b, i+k-ru, j+l-rv]``,
+    with ``f2`` zero-padded in ``frames``' strips, from ``dC`` ``(u, v, rows, wt)``
+    of the last row chunk on: its sum over cells goes into ``B``'s last rows
+    (the earlier chunks' are there already), then one GEMM with ``f1``
+    ``(c, h, w)``.  So a one-chunk frame's backward is this one call.
+    """
+    c, h, w = f1.shape
+    B = _window_targets(frames, h - dC.shape[2], dC)[:, :w]
+    return f1.reshape(c, h * w) @ B.reshape(h * w, c)
+
+
+class _MatchingProblem:
+    """One pair ``(f1, f2, gt)`` under a ``u x v`` window, scored for many kernels.
+
+    What does not depend on ``W`` is prepared once: the window cells in
+    decoding order, the :class:`_Frames` (the kernel goes onto the first
+    frame, so the second frame's strips serve every forward and backward)
+    and, at the first gradient, the labels.  The buffers the engine writes
+    stay in ``workspace``, which problems may share.  Both methods take the
+    costs a row chunk at a time, and ``loss_grad`` chains each one back.
+    """
+
+    def __init__(self, f1: FeatureMap, f2: FeatureMap, gt: FlowField, window: tuple[int, int],
+                 workspace: _Workspace | None = None):
+        u, v = window
+        _check_pair(f1, f2, u, v)
+        if f1.height * f1.width == 0:
+            raise ValueError(f"matching: frames of shape {f1.data.shape} have no pixels")
+        self.f1, self.gt = f1.data, gt
+        self.u, self.v = u, v
+        self.order = _cells_by_magnitude(u, v)
+        self._frames = _Frames(f1.data, f2.data, u, v, workspace)
+        self._labels = None
+
+    def _decoded(self, W: np.ndarray | None, cells: np.ndarray, best: np.ndarray):
+        """The chunks of :func:`_window_costs` under ``W`` (None is ``W = I``
+        without its product), each decoded into its rows of ``cells`` and,
+        its per-pixel maximum, of ``best``, both ``(h, w)``."""
+        c, _, w = self.f1.shape
+        if W is not None and W.shape != (c, c):
+            raise ValueError(f"matching: W shape {W.shape}, expected {(c, c)}")
+        for i0, i1, costs in _window_costs(self._frames, W):
+            chunk = costs[..., :w]
+            np.max(chunk, axis=0, out=best[i0:i1])
+            if not (np.isfinite(chunk.min()) and np.isfinite(best[i0:i1].max())):
+                raise NumericalError("matching: the costs under this kernel are not finite")
+            cells[i0:i1] = _winners(chunk, best[i0:i1], self.order, self._frames.workspace)
+            yield i0, i1, costs
+
+    def decode(self, W: np.ndarray | None) -> FlowField:
+        """Winner-take-all flow under ``W`` (None for ``W = I``), as
+        :func:`decode_flow_argmax`."""
+        cells, best = np.empty(self.f1.shape[1:], np.intp), np.empty(self.f1.shape[1:])
+        for _ in self._decoded(W, cells, best):
+            pass
+        return _cell_flow(cells, self.u, self.v)
+
+    def loss_grad(self, W: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """Mean matching loss, its gradient on ``W`` and the AEPE of the decode."""
+        u, v = self.u, self.v
+        _, h, w = self.f1.shape
+        if self._labels is None:
+            self._labels = _label_cells(self.gt, u, v)
+        cells, best, logp = np.empty((h, w), np.intp), np.empty((h, w)), np.empty((h, w))
+        for i0, i1, costs in self._decoded(W, cells, best):
+            logp[i0:i1] = _softmax_xent(costs[..., :w], best[i0:i1], self._labels[i0:i1], h * w)
+            if i1 < h:
+                _window_targets(self._frames, i0, costs)
+        dW = _grad_w_from_costs(self.f1, self._frames, costs.reshape(u, v, i1 - i0, -1))
+        errors = _endpoint_errors(*_cell_offsets(cells, u, v), self.gt.data)
+        return float(-logp.mean()), dW, float(np.mean(errors))
 
 
 def write_tensor(path, array: np.ndarray) -> None:

@@ -1,9 +1,10 @@
 """Desk-scale synthetic flow experiments.
 
 The harness builds small two-frame matching problems with known integer
-flow, trains a kernel on a split of them with a per-pixel softmax
-cross-entropy over the displacement window, and scores winner-take-all
-decoding against the ground truth with and without the learned kernel.
+flow, trains a kernel on a split of them through the matching engine of
+:mod:`lcv.costvolume` (a per-pixel softmax cross-entropy over the
+displacement window), and scores winner-take-all decoding against the
+ground truth with and without the learned kernel.
 
 Data model: each instance carries ``signal_channels`` per-pixel unit
 vectors (so the true match is the unique inner-product argmax when no
@@ -28,20 +29,15 @@ from .costvolume import (
     FeatureMap,
     FlowField,
     _adopt,
-    _cell_flow,
-    _cell_offsets,
-    _cells_by_magnitude,
-    _check_pair,
-    _endpoint_error,
-    _Frames,
-    _label_cells,
-    _window_costs,
-    _window_targets,
-    _winners,
+    # Not called here: perfbench/bench_trace.py finds harness.grad_w's function
+    # by this name, then wraps every binding of it, the engine's included.
+    _grad_w_from_costs,
+    _MatchingProblem,
     _Workspace,
     cost_volume_bilinear,
     epe,
     fl_all,
+    matching_loss,
 )
 from .kernel import SPDKernel, identity_kernel, kernel_grad
 from .optim import OptimizerConfig, finite_difference_oracle, gradient_step
@@ -243,113 +239,6 @@ def _check_disc(p: PerturbSpec, h: int, w: int) -> None:
     r = p.patch_radius
     if r > 0 and 2 * r + 1 > min(h, w):
         raise ValueError(f"perturb: disc of radius {r} does not fit a {h}x{w} frame")
-
-
-def _softmax_xent(Z: np.ndarray, best: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
-    """Per-pixel log-likelihoods of ``labels`` ``(rows, w)`` (from
-    :func:`_label_cells`) under the logits ``Z`` ``(cells, rows, w)``.
-
-    ``best`` is the per-pixel maximum of ``Z``.  Works in place: on return
-    ``Z`` holds the gradient of a mean cross-entropy over ``n`` pixels.
-    """
-    rows, w = labels.shape
-    picks = labels, np.arange(rows)[:, None], np.arange(w)
-    Z -= best
-    logp = Z[picks]
-    np.exp(Z, out=Z)
-    denom = Z.sum(axis=0)
-    logp -= np.log(denom)
-    Z /= denom
-    Z[picks] -= 1.0
-    Z /= n
-    return logp
-
-
-def matching_loss(cv, gt: FlowField) -> tuple[float, np.ndarray]:
-    """Per-pixel softmax cross-entropy over the displacement window.
-
-    The ``u * v`` costs at each pixel act as logits and the ground-truth
-    displacement cell as the label.  Returns the mean loss and its
-    gradient with respect to every cost entry.
-    """
-    u, v, h, w = cv.data.shape
-    labels = _label_cells(gt, u, v)
-    Z = cv.data.reshape(u * v, h, w).copy()
-    return float(-_softmax_xent(Z, Z.max(axis=0), labels, h * w).mean()), Z.reshape(u, v, h, w)
-
-
-def _grad_w_from_costs(f1: np.ndarray, frames: _Frames, dC: np.ndarray) -> np.ndarray:
-    """``dL/dW[a, b] = sum_klij dC[k,l,i,j] f1[a,i,j] f2[b, i+k-ru, j+l-rv]``,
-    with ``f2`` zero-padded in ``frames``' strips, from ``dC`` ``(u, v, rows, wt)``
-    of the last row chunk on: its sum over cells goes into ``B``'s last rows
-    (the earlier chunks' are there already), then one GEMM with ``f1``
-    ``(c, h, w)``.  So a one-chunk frame's backward is this one call.
-    """
-    c, h, w = f1.shape
-    B = _window_targets(frames, h - dC.shape[2], dC)[:, :w]
-    return f1.reshape(c, h * w) @ B.reshape(h * w, c)
-
-
-class _MatchingProblem:
-    """One pair ``(f1, f2, gt)`` under a ``u x v`` window, scored for many kernels.
-
-    What does not depend on ``W`` is prepared once: the window cells in
-    decoding order, the :class:`_Frames` (the kernel goes onto the first
-    frame, so the second frame's strips serve every forward and backward)
-    and, at the first gradient, the labels.  The buffers the engine writes
-    stay in ``workspace``, which problems may share.  Both methods take the
-    costs a row chunk at a time, and ``loss_grad`` chains each one back.
-    """
-
-    def __init__(self, f1: FeatureMap, f2: FeatureMap, gt: FlowField, window: tuple[int, int],
-                 workspace: _Workspace | None = None):
-        u, v = window
-        _check_pair(f1, f2, u, v)
-        if f1.height * f1.width == 0:
-            raise ValueError(f"matching: frames of shape {f1.data.shape} have no pixels")
-        self.f1, self.gt = f1.data, gt
-        self.u, self.v = u, v
-        self.order = _cells_by_magnitude(u, v)
-        self._frames = _Frames(f1.data, f2.data, u, v, workspace)
-        self._labels = None
-
-    def _decoded(self, W: np.ndarray | None, cells: np.ndarray, best: np.ndarray):
-        """The chunks of :func:`_window_costs` under ``W`` (None is ``W = I``
-        without its product), each decoded into its rows of ``cells`` and,
-        its per-pixel maximum, of ``best``, both ``(h, w)``."""
-        c, _, w = self.f1.shape
-        if W is not None and W.shape != (c, c):
-            raise ValueError(f"matching: W shape {W.shape}, expected {(c, c)}")
-        for i0, i1, costs in _window_costs(self._frames, W):
-            chunk = costs[..., :w]
-            np.max(chunk, axis=0, out=best[i0:i1])
-            if not (np.isfinite(chunk.min()) and np.isfinite(best[i0:i1].max())):
-                raise NumericalError("matching: the costs under this kernel are not finite")
-            cells[i0:i1] = _winners(chunk, best[i0:i1], self.order, self._frames.workspace)
-            yield i0, i1, costs
-
-    def decode(self, W: np.ndarray | None) -> FlowField:
-        """Winner-take-all flow under ``W`` (None for ``W = I``), as
-        :func:`decode_flow_argmax`."""
-        cells, best = np.empty(self.f1.shape[1:], np.intp), np.empty(self.f1.shape[1:])
-        for _ in self._decoded(W, cells, best):
-            pass
-        return _cell_flow(cells, self.u, self.v)
-
-    def loss_grad(self, W: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """Mean matching loss, its gradient on ``W`` and the AEPE of the decode."""
-        u, v = self.u, self.v
-        _, h, w = self.f1.shape
-        if self._labels is None:
-            self._labels = _label_cells(self.gt, u, v)
-        cells, best, logp = np.empty((h, w), np.intp), np.empty((h, w)), np.empty((h, w))
-        for i0, i1, costs in self._decoded(W, cells, best):
-            logp[i0:i1] = _softmax_xent(costs[..., :w], best[i0:i1], self._labels[i0:i1], h * w)
-            if i1 < h:
-                _window_targets(self._frames, i0, costs)
-        dW = _grad_w_from_costs(self.f1, self._frames, costs.reshape(u, v, i1 - i0, -1))
-        flow_h, flow_v = _cell_offsets(cells, u, v)
-        return float(-logp.mean()), dW, _endpoint_error(flow_h, flow_v, self.gt.data)
 
 
 def train_kernel(
