@@ -283,11 +283,11 @@ def cayley_inverse(P: OrthogonalMatrix | np.ndarray) -> np.ndarray:
     return 0.5 * (S - S.T)
 
 
-def is_in_so_star(P: np.ndarray, margin: float = SO_STAR_MARGIN) -> SOStarCheck:
+def is_in_so_star(P: np.ndarray) -> SOStarCheck:
     """Test membership in SO*(n) and report how the test was decided.
 
     Membership requires ``P.T @ P = I`` within 1e-8, a positive
-    determinant, and every eigenvalue farther than ``margin`` from -1.
+    determinant, and every eigenvalue farther than ``SO_STAR_MARGIN`` from -1.
     """
     P = np.asarray(P, dtype=float)
     _require_square(P, "is_in_so_star")
@@ -298,7 +298,7 @@ def is_in_so_star(P: np.ndarray, margin: float = SO_STAR_MARGIN) -> SOStarCheck:
     eigs = np.linalg.eigvals(P)
     nearest = complex(eigs[np.argmin(np.abs(eigs + 1.0))])
     gap = float(abs(nearest + 1.0))
-    member = orth_err <= 1e-8 and det > 0.0 and gap > margin
+    member = orth_err <= 1e-8 and det > 0.0 and gap > SO_STAR_MARGIN
     return SOStarCheck(
         is_member=member,
         orthogonality_error=orth_err,

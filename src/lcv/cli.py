@@ -212,11 +212,6 @@ def cmd_sweep(args) -> int:
     seeds = sweep_cfg["seeds"]
     if not isinstance(seeds, list):
         seeds = [spec.seed + i for i in range(seeds)]
-    if not seeds:
-        raise ValueError(f"config: sweep.seeds must name at least one seed, got {sweep_cfg['seeds']!r}")
-    grids = ("gamma_grid", "noise_grid", "patch_grid")
-    if not any(sweep_cfg[g] for g in grids):
-        raise ValueError(f"config: sweep.{', sweep.'.join(grids)} are all empty")
     results = run_sweep(
         spec,
         opt,

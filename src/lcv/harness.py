@@ -434,13 +434,16 @@ def run_sweep(
     Training only sees clean instances, so for a fixed seed every grid
     point shares the same learned kernel; results are identical to
     calling :func:`run_experiment` point by point, just without the
-    redundant retraining.
+    redundant retraining.  With no seed or no grid point it raises first.
     """
     points = (
         [PerturbSpec(gamma=g) for g in gamma_grid]
         + [PerturbSpec(noise_std=s) for s in noise_grid]
         + [PerturbSpec(patch_radius=r) for r in patch_grid]
     )
+    if len(seeds) == 0 or not points:
+        raise ValueError(f"run_sweep: nothing to sweep over {len(seeds)} seed(s) x "
+                         f"{len(points)} grid point(s)")
     return [r for seed in seeds
             for r in _train_and_score(replace(spec, seed=int(seed)), points, opt, window, instances)]
 
@@ -506,14 +509,12 @@ def run_gradcheck(
     seed: int = 0,
     tolerance: float = 1e-5,
     eps: float = 1e-5,
-    trace_count: int = 20,
-    matching_count: int = 20,
 ) -> list[GradCheckResult]:
     """Validate every analytic gradient against central finite differences.
 
-    Two families: trace-type losses ``<A, W>`` on random kernels at
-    several sizes, and the full softmax matching loss through a cost
-    volume on random 4-channel 4x4 instances.
+    Two families of 20 checks each: trace-type losses ``<A, W>`` on random
+    kernels at several sizes, and the full softmax matching loss through a
+    cost volume on random 4-channel 4x4 instances.
     """
     if not 0 < tolerance < np.inf:
         raise ValueError(f"run_gradcheck: tolerance must be positive and finite, got {tolerance}")
@@ -534,7 +535,7 @@ def run_gradcheck(
         checks.append(GradCheckResult(name, err, err < tolerance))
 
     sizes = (2, 6, 16)
-    for i in range(trace_count):
+    for i in range(20):
         c = sizes[i % len(sizes)]
         s = SkewParams(entries=rng.uniform(-0.8, 0.8, c * (c - 1) // 2), dim=c)
         t = DiagParams(t=rng.uniform(-0.8, 0.8, c))
@@ -542,7 +543,7 @@ def run_gradcheck(
         check(f"trace_c{c}_{i}", s, t, lambda sp, tp: float(np.sum(A * assemble_kernel(sp, tp).W)),
               lambda W: A)
 
-    for i in range(matching_count):
+    for i in range(20):
         c, h, w = 4, 4, 4
         f1 = FeatureMap(0.5 * rng.standard_normal((c, h, w)))
         f2 = FeatureMap(0.5 * rng.standard_normal((c, h, w)))

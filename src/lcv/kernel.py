@@ -1,11 +1,11 @@
 """SPD kernels in spectral form ``W = P^T diag(lam) P``.
 
-A kernel is stored together with its factors and with the free parameters
-that generated them, so gradient steps in parameter space and factored
-operations (whitening, gradients through the factorization) never have to
-re-factor ``W``.  ``assemble_kernel(zeros, zeros)`` is exactly the
-identity, which makes the zero parameter vector the canonical "start from
-plain correlation" initialization.
+A kernel is built from its free parameters ``(s, t)`` alone and stores the
+factors they generate, so factored operations never re-factor ``W`` and a
+checkpoint of ``(s, t)`` reloads the kernel bitwise.
+``assemble_kernel(zeros, zeros)`` is exactly the identity, which makes the
+zero parameter vector the canonical "start from plain correlation"
+initialization.
 """
 
 from __future__ import annotations
@@ -35,30 +35,33 @@ _CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class SPDKernel:
-    """A symmetric positive definite kernel built from its spectral factors.
+    """A symmetric positive definite kernel built from its free parameters.
 
-    Only ``P`` and the free parameters are inputs: ``lam`` is derived from
-    ``diag_params`` by the arctan map and ``W = P^T diag(lam) P`` from
-    ``(P, lam)``, once, at construction.  Every ``lam[i]`` is checked
-    finite, and positive within a spread of ``1 / eps`` (past it, rounding
-    ``W`` can cost it its smallest eigenvalue), before ``W`` is formed,
-    which, with ``P`` orthogonal, makes ``W`` positive definite in float64.
+    Only ``(skew_params, diag_params)`` are inputs.  ``P`` (the Cayley map
+    of ``skew_params``), ``lam`` (the arctan map of ``diag_params``) and
+    ``W = P^T diag(lam) P`` are derived once, at construction.  Every
+    ``lam[i]`` is checked finite, and positive within a spread of
+    ``1 / eps`` (past it, rounding ``W`` can cost it its smallest
+    eigenvalue), before ``W`` is formed, which, with ``P`` orthogonal,
+    makes ``W`` positive definite in float64.
     """
 
-    P: OrthogonalMatrix
     skew_params: SkewParams
     diag_params: DiagParams
+    P: OrthogonalMatrix = field(init=False)
     lam: np.ndarray = field(init=False)
     W: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.skew_params.dim != self.P.dim or self.diag_params.dim != self.P.dim:
-            raise ValueError("SPDKernel: parameter dimensions disagree with the factors")
+        if self.skew_params.dim != self.diag_params.dim:
+            raise ValueError(f"SPDKernel: skew dim {self.skew_params.dim} != diag dim {self.diag_params.dim}")
+        P = cayley_forward(unpack_skew(self.skew_params))
         lam = _frozen(lambda_from_t(self.diag_params), "SPDKernel.lam", 1)
         if lam.size and lam.min() <= np.finfo(float).eps * lam.max():
             raise ValueError(f"SPDKernel: lam [{lam.min():.3g}, {lam.max():.3g}] is not "
                              "positive within the spread float64 resolves")
-        W = self.P.values.T @ (lam[:, None] * self.P.values)
+        W = P.values.T @ (lam[:, None] * P.values)
+        object.__setattr__(self, "P", P)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "W", _frozen(0.5 * (W + W.T), "SPDKernel.W", 2))
 
@@ -87,12 +90,10 @@ class KernelGradient:
 def assemble_kernel(s: SkewParams, t: DiagParams) -> SPDKernel:
     """Build the SPD kernel generated by free parameters ``(s, t)``.
 
-    ``P`` comes from the Cayley map of the skew matrix packed in ``s``;
-    :class:`SPDKernel` derives ``lam`` and ``W`` from ``P`` and ``t``.
+    The one constructor the optimizers and checkpoints use;
+    :class:`SPDKernel` derives ``P``, ``lam`` and ``W``.
     """
-    if s.dim != t.dim:
-        raise ValueError(f"assemble_kernel: skew dim {s.dim} != diag dim {t.dim}")
-    return SPDKernel(P=cayley_forward(unpack_skew(s)), skew_params=s, diag_params=t)
+    return SPDKernel(s, t)
 
 
 def identity_kernel(dim: int) -> SPDKernel:

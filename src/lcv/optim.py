@@ -8,8 +8,9 @@ Two interchangeable update rules maintain the SPD structure:
   manifold (project the Euclidean gradient to the tangent space, retract)
   while the diagonal factor still moves through the arctan chart.
 
-Both map one ``SPDKernel`` to the next and leave every iterate exactly
-factored, so no projection back onto the SPD cone is ever needed.
+Both build the next ``SPDKernel`` from its free parameters ``(s, t)`` with
+``assemble_kernel``, so every iterate is exactly factored, needs no
+projection back onto the SPD cone, and reloads bitwise from a checkpoint.
 ``gradient_step`` picks between them by the optimizer mode.
 """
 
@@ -133,8 +134,8 @@ def stiefel_sgd_step(kernel: SPDKernel, dL_dP: np.ndarray, lr: float, d_diag: np
 
     The Euclidean gradient ``dL_dP`` is projected to the tangent space at
     the current ``P`` and retracted; the diagonal parameters move through
-    the arctan chart.  The skew parameters are re-synced to the Cayley
-    preimage of the new ``P`` so checkpoints stay mode-agnostic.
+    the arctan chart.  The next kernel is assembled from the Cayley
+    preimage of the retracted ``P``, so a checkpoint reloads it bitwise.
     """
     return _stiefel_move(kernel, stiefel_project(kernel.P, np.asarray(dL_dP, dtype=float)), lr, d_diag)
 
@@ -150,7 +151,7 @@ def _stiefel_move(kernel: SPDKernel, Z: np.ndarray, lr: float, d_diag: np.ndarra
         raise ValueError("stiefel_sgd_step: d_diag must be finite")
     newP = stiefel_retract(kernel.P, -lr * Z)
     t = DiagParams(t=kernel.diag_params.t - lr * d_diag)
-    return SPDKernel(P=newP, skew_params=pack_skew(cayley_inverse(newP)), diag_params=t)
+    return assemble_kernel(pack_skew(cayley_inverse(newP)), t)
 
 
 def gradient_step(
@@ -207,13 +208,13 @@ def finite_difference_oracle(
     return KernelGradient(d_skew=grad[:n], d_diag=grad[n:])
 
 
-def step_benchmark(dim: int, mode: str, iters: int = 20, seed: int = 0) -> float:
+def step_benchmark(dim: int, mode: str, iters: int = 20) -> float:
     """Wall-clock milliseconds per optimizer step at a given kernel size.
 
     Runs ``iters`` steps against a fixed random symmetric gradient on
     ``W`` and averages; used for reporting only.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     kernel = identity_kernel(dim)
     A = rng.standard_normal((dim, dim)) * 0.01
     G = A + A.T

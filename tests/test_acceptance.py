@@ -159,8 +159,7 @@ def test_criterion_05_gradient_gate():
     # (eps 1e-5): relative error < 1e-5 on 20 instances each, and the
     # gradcheck subcommand exits 0.  Runtime < 2 min.
     t0 = time.perf_counter()
-    checks = run_gradcheck(seed=0, tolerance=1e-5, eps=1e-5,
-                           trace_count=20, matching_count=20)
+    checks = run_gradcheck(seed=0, tolerance=1e-5, eps=1e-5)
     cli_rc = cli_main(["gradcheck"])
     runtime = time.perf_counter() - t0
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcv.cayley import (
+    SO_STAR_MARGIN,
     DiagParams,
     NotInSOStarError,
     OrthogonalMatrix,
@@ -159,10 +160,12 @@ class TestIsInSOStar:
         assert abs(check.nearest_eigenvalue + 1.0) < 1e-12
 
     def test_margin_is_respected(self):
-        # Rotation by pi - 1e-9 sits closer to -1 than the default margin.
-        nearly = rotation(np.pi - 1e-9)
-        assert not is_in_so_star(nearly)
-        assert is_in_so_star(nearly, margin=1e-12)
+        # Rotation by pi - 1e-9 is orthogonal with determinant 1, but its
+        # eigenvalues sit closer to -1 than the margin.
+        check = is_in_so_star(rotation(np.pi - 1e-9))
+        assert not check
+        assert check.orthogonality_error <= 1e-8 and check.determinant > 0
+        assert check.gap_to_minus_one < SO_STAR_MARGIN
 
     def test_non_orthogonal_fails(self):
         assert not is_in_so_star(np.eye(2) * 1.001)

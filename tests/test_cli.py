@@ -660,7 +660,7 @@ class TestSweep:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "s"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
-        assert "config: sweep.seeds must" in capsys.readouterr().err
+        assert "error: run_sweep: nothing to sweep over 0 seed(s) x 3 grid point(s)" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("count", [-3, 0, 1])
@@ -693,16 +693,16 @@ class TestSweep:
     def test_all_grids_empty_exits_1_before_training(self, tmp_path, tiny_config, capsys,
                                                      monkeypatch):
         def trained(*args, **kwargs):
-            pytest.fail("run_sweep was called")
+            pytest.fail("train_kernel was called")
 
-        monkeypatch.setattr("lcv.cli.run_sweep", trained)
+        monkeypatch.setattr("lcv.harness.train_kernel", trained)
         cfg = json.loads(Path(tiny_config).read_text())
         cfg["sweep"].update(gamma_grid=[], noise_grid=[], patch_grid=[])
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "s"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
-        assert "sweep.gamma_grid, sweep.noise_grid, sweep.patch_grid" in capsys.readouterr().err
+        assert "error: run_sweep: nothing to sweep over 1 seed(s) x 0 grid point(s)" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -27,7 +27,8 @@ from lcv.kernel import (
     whitening_pca,
     whitening_zca,
 )
-from lcv.optim import stiefel_sgd_step
+from lcv.harness import SyntheticSpec, experiment_instances, train_kernel
+from lcv.optim import OptimizerConfig, stiefel_sgd_step
 
 
 def random_kernel(rng, dim, scale=1.0):
@@ -96,16 +97,12 @@ class TestAssembly:
             assemble_kernel(SkewParams(entries=np.zeros(1), dim=2), DiagParams(t=np.zeros(3)))
 
     def test_w_is_not_an_input(self):
-        # W and lam are derived from (P, t), so a caller cannot supply them.
+        # P, lam and W are derived from (s, t), so a caller cannot supply them.
         k = identity_kernel(2)
-        with pytest.raises(TypeError):
-            SPDKernel(
-                W=np.diag([2.0, 1.0]),
-                P=k.P,
-                lam=k.lam,
-                skew_params=k.skew_params,
-                diag_params=k.diag_params,
-            )
+        for derived in ("P", "lam", "W"):
+            with pytest.raises(TypeError):
+                SPDKernel(skew_params=k.skew_params, diag_params=k.diag_params,
+                          **{derived: getattr(k, derived)})
 
 
 class TestWhitening:
@@ -231,6 +228,22 @@ class TestSerialization:
         assert np.array_equal(k2.skew_params.entries, k.skew_params.entries)
         assert np.array_equal(k2.diag_params.t, k.diag_params.t)
         assert np.array_equal(k2.W, k.W)
+
+    @pytest.mark.parametrize("mode", ["cayley", "stiefel"])
+    def test_trained_kernel_reloads_bitwise(self, tmp_path, mode):
+        # Every trained kernel is the image of its free parameters, so the
+        # checkpoint of (s, t) gives back the W and P that training scored.
+        spec = SyntheticSpec(height=16, width=16, signal_channels=2, noise_channels=4,
+                             max_displacement=1, seed=3)
+        data, _ = experiment_instances(spec, 4)
+        opt = OptimizerConfig(learning_rate=0.05, max_steps=30, mode=mode)
+        k, _ = train_kernel(data, opt, (3, 3))
+        assert not np.array_equal(k.W, np.eye(6))
+        path = tmp_path / "k.lcvk"
+        save_kernel(path, k)
+        k2 = load_kernel(path)
+        assert np.array_equal(k2.W, k.W)
+        assert np.array_equal(k2.P.values, k.P.values)
 
     def test_identity_round_trip(self, tmp_path):
         path = tmp_path / "id.lcvk"

@@ -166,10 +166,11 @@ class TestStiefelStep:
         assert gap < 1e-2
 
     def test_skew_parameters_track_the_factor(self):
-        # After a step, the stored free parameters regenerate the kernel.
+        # After a step, the stored free parameters regenerate the kernel
+        # bit for bit.
         sti, _ = run_stiefel(3, lr=0.05)
         rebuilt = assemble_kernel(sti.skew_params, sti.diag_params)
-        np.testing.assert_allclose(rebuilt.W, sti.W, atol=1e-10)
+        np.testing.assert_array_equal(rebuilt.W, sti.W)
 
 
 class TestFiniteDifferenceOracle:
