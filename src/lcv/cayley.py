@@ -269,14 +269,7 @@ def cayley_inverse(P: OrthogonalMatrix | np.ndarray) -> np.ndarray:
     offending eigenvalue attached.
     """
     values = P.values if isinstance(P, OrthogonalMatrix) else np.asarray(P, dtype=float)
-    check = is_in_so_star(values)
-    if not check:
-        raise NotInSOStarError(
-            "cayley_inverse: input is not in SO*(n) "
-            f"(orthogonality error {check.orthogonality_error:.3e}, det {check.determinant:.6f}, "
-            f"eigenvalue nearest -1 is {check.nearest_eigenvalue})",
-            nearest_eigenvalue=check.nearest_eigenvalue,
-        )
+    _require_so_star(values, "cayley_inverse")
     eye = np.eye(values.shape[0])
     S = np.linalg.solve(eye + values, eye - values)
     # The exact preimage is skew; wipe the round-off asymmetry.
@@ -306,6 +299,16 @@ def is_in_so_star(P: np.ndarray) -> SOStarCheck:
         nearest_eigenvalue=nearest,
         gap_to_minus_one=gap,
     )
+
+
+def _require_so_star(values: np.ndarray, who: str) -> None:
+    check = is_in_so_star(values)
+    if not check:
+        raise NotInSOStarError(
+            f"{who}: input is not in SO*(n) (orthogonality error {check.orthogonality_error:.3e}, "
+            f"det {check.determinant:.6f}, eigenvalue nearest -1 is {check.nearest_eigenvalue})",
+            nearest_eigenvalue=check.nearest_eigenvalue,
+        )
 
 
 def _arctan_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,13 +373,7 @@ def so_star_path(P: OrthogonalMatrix, steps: int) -> list[OrthogonalMatrix]:
     """
     if steps < 1:
         raise ValueError("so_star_path: steps must be at least 1")
-    check = is_in_so_star(P.values)
-    if not check:
-        raise NotInSOStarError(
-            "so_star_path: endpoint is not in SO*(n) "
-            f"(eigenvalue nearest -1 is {check.nearest_eigenvalue})",
-            nearest_eigenvalue=check.nearest_eigenvalue,
-        )
+    _require_so_star(P.values, "so_star_path")
     # Imported here: scipy.linalg is the largest import in the package and
     # only this path needs it.
     import scipy.linalg

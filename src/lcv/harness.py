@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cayley import NumericalError, _frozen
+from .cayley import DiagParams, NumericalError, SkewParams, _frozen
 from .costvolume import (
     FeatureMap,
     FlowField,
@@ -39,7 +39,7 @@ from .costvolume import (
     fl_all,
     matching_loss,
 )
-from .kernel import SPDKernel, identity_kernel, kernel_grad
+from .kernel import SPDKernel, assemble_kernel, identity_kernel, kernel_grad
 from .optim import OptimizerConfig, finite_difference_oracle, gradient_step
 
 
@@ -518,8 +518,6 @@ def run_gradcheck(
     """
     if not 0 < tolerance < np.inf:
         raise ValueError(f"run_gradcheck: tolerance must be positive and finite, got {tolerance}")
-    from .cayley import DiagParams, SkewParams
-    from .kernel import assemble_kernel
 
     rng = np.random.default_rng(seed)
     checks: list[GradCheckResult] = []

@@ -26,6 +26,7 @@ from .cayley import (
     cayley_forward,
     dlambda_dt,
     lambda_from_t,
+    pack_skew,
     unpack_skew,
 )
 
@@ -138,27 +139,21 @@ def kernel_factor_grads(kernel: SPDKernel, dL_dW: np.ndarray) -> tuple[np.ndarra
     _require_finite(G, "kernel_factor_grads")
     Pv = kernel.P.values
     dL_dP = kernel.lam[:, None] * (Pv @ (G + G.T))
-    dL_dlam = np.einsum("ij,kj,ik->i", Pv, G, Pv)
+    dL_dlam = np.einsum("ij,ij->i", Pv @ G.T, Pv)
     return dL_dP, dL_dlam
 
 
 def kernel_grad(kernel: SPDKernel, dL_dW: np.ndarray) -> KernelGradient:
     """Chain a gradient on ``W`` down to the free parameters.
 
-    The orthogonal branch differentiates through the Cayley map using
-    ``dP = -(I + P) dS (I + S)^{-1}``, then keeps the skew-symmetric part;
-    the diagonal branch multiplies by the closed-form ``dlam/dt``.
+    The orthogonal branch differentiates through the Cayley map as
+    ``dP = -(I + P) dS (I + P) / 2``, from the stored ``P`` alone, then keeps
+    the skew-symmetric part; the diagonal branch multiplies by ``dlam/dt``.
     """
     dL_dP, dL_dlam = kernel_factor_grads(kernel, dL_dW)
-    n = kernel.dim
-    S = unpack_skew(kernel.skew_params)
-    eye = np.eye(n)
-    B = (eye + kernel.P.values).T @ dL_dP
-    # M = -B (I - S)^{-1}, taken via a transposed solve; (I - S) = (I + S)^T.
-    M = -np.linalg.solve((eye - S).T, B.T).T
-    rows, cols = np.tril_indices(n, -1)
-    A = M - M.T
-    d_skew = A[rows, cols]
+    IP = np.eye(kernel.dim) + kernel.P.values
+    M = -0.5 * (IP.T @ dL_dP @ IP.T)
+    d_skew = pack_skew(M - M.T).entries
     d_diag = dL_dlam * dlambda_dt(kernel.diag_params)
     return KernelGradient(d_skew=d_skew, d_diag=d_diag)
 

@@ -115,6 +115,17 @@ class TestCayleyForward:
         with pytest.raises(ValueError):
             cayley_forward(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("n", (2, 16, 64, 128))
+    def test_half_of_i_plus_p_inverts_i_plus_s(self, n):
+        # (I + S)(I + P) = (I + S) + (I - S) = 2I, which lets gradients
+        # chain through P without a solve.
+        rng = np.random.default_rng(n)
+        eye = np.eye(n)
+        for scale in (0.1, 1.0, 5.0, 50.0, 1e3):
+            S = unpack_skew(SkewParams(entries=rng.uniform(-scale, scale, n * (n - 1) // 2), dim=n))
+            np.testing.assert_allclose((eye + cayley_forward(S).values) / 2, np.linalg.inv(eye + S),
+                                       rtol=0, atol=1e-12, err_msg=f"scale {scale}")
+
 
 class TestCayleyInverse:
     def test_quarter_turn(self):

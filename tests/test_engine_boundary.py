@@ -5,6 +5,7 @@ The engine (costs, softmax loss, gradient back to ``W``, decode) lives in
 names.  ``perfbench/bench_trace.py`` finds each traced function by the
 module it names and wraps every binding of it, so a lost binding turns a
 span into zeros while the benchmark still reports a correct run.
+:mod:`lcv.cayley` alone owns the packed order of ``SkewParams``.
 """
 
 import ast
@@ -29,6 +30,13 @@ def test_harness_imports_only_the_engine_entry_points_from_costvolume():
                and node.module == "costvolume"
                for alias in node.names if alias.name.startswith("_")}
     assert private == {"_adopt", "_grad_w_from_costs", "_MatchingProblem", "_Workspace"}
+
+
+def test_only_cayley_indexes_the_packed_skew_order():
+    callers = {path.name for path in (ROOT / "src" / "lcv").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "tril_indices"}
+    assert callers == {"cayley.py"}
 
 
 def test_the_tracer_finds_and_counts_the_engine_spans(tmp_path):

@@ -135,6 +135,28 @@ class TestWhitening:
         assert (R @ x) @ (R @ y) == pytest.approx(expected, rel=1e-10)
 
 
+# Sizes and skew scales for the closed-form pullback checks; scale 1e3
+# puts eigenvalues of ``P`` close to -1.
+PULLBACK_DIMS = (2, 16, 64, 128)
+PULLBACK_SCALES = (0.1, 1.0, 5.0, 50.0, 1e3)
+
+
+def solve_based_skew_grad(kernel, dL_dP):
+    """``dL/dP`` pulled onto the skew entries through ``S``, applying
+    ``(I + S)^{-T}`` by a solve: the formula the closed form replaced."""
+    n = kernel.dim
+    S = unpack_skew(kernel.skew_params)
+    eye = np.eye(n)
+    B = (eye + kernel.P.values).T @ dL_dP
+    M = -np.linalg.solve((eye - S).T, B.T).T
+    rows, cols = np.tril_indices(n, -1)
+    return (M - M.T)[rows, cols]
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
 class TestGradients:
     def test_trace_loss_at_identity_frozen(self):
         k = identity_kernel(2)
@@ -179,6 +201,36 @@ class TestGradients:
 
         np.testing.assert_allclose(g.d_skew, fd_s, atol=1e-7)
         np.testing.assert_allclose(g.d_diag, fd_t, atol=1e-7)
+
+    @pytest.mark.parametrize("dim", PULLBACK_DIMS)
+    def test_skew_pullback_matches_the_solve(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in PULLBACK_SCALES:
+            s = SkewParams(entries=rng.uniform(-scale, scale, dim * (dim - 1) // 2), dim=dim)
+            k = assemble_kernel(s, DiagParams(t=rng.uniform(-1, 1, dim)))
+            G = rng.standard_normal((dim, dim))
+            reference = solve_based_skew_grad(k, kernel_factor_grads(k, G)[0])
+            assert rel_err(kernel_grad(k, G).d_skew, reference) < 1e-10, scale
+
+    @pytest.mark.parametrize("dim", PULLBACK_DIMS)
+    def test_lam_pullback_matches_the_triple_einsum(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in PULLBACK_SCALES:
+            k = random_kernel(rng, dim, scale)
+            G = rng.standard_normal((dim, dim))
+            reference = np.einsum("ij,kj,ik->i", k.P.values, G, k.P.values)
+            assert rel_err(kernel_factor_grads(k, G)[1], reference) < 1e-13, scale
+
+    def test_grad_runs_no_solve(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        k = random_kernel(rng, 8, scale=2.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel_grad called np.linalg.solve")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        g = kernel_grad(k, rng.standard_normal((8, 8)))
+        assert g.d_skew.shape == (28,)
 
     def test_max_norm(self):
         g = KernelGradient(d_skew=np.array([1.0, -3.0]), d_diag=np.array([2.0]))
