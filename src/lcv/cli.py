@@ -9,6 +9,7 @@ check failures.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from dataclasses import asdict
@@ -34,6 +35,7 @@ from .harness import (
     run_sweep,
     score_pair,
     train_kernel,
+    write_json,
 )
 from .kernel import identity_kernel, load_kernel, save_kernel
 from .optim import OptimizerConfig
@@ -78,41 +80,41 @@ def _check_type(value, bases, key: str) -> None:
 
 
 def _merge(defaults, user, crumb=""):
+    """``user`` merged onto ``defaults`` section by section, with a copy of
+    every default leaf it omits: nothing returned is shared with ``defaults``."""
     if not isinstance(user, dict):
         raise ValueError(f"config: expected an object at {crumb or 'top level'}")
     out = {}
     for key, base in defaults.items():
-        if key in user and isinstance(base, dict) and base:
-            out[key] = _merge(base, user[key], f"{crumb}{key}.")
+        path = crumb + key
+        if isinstance(base, dict):
+            out[key] = _merge(base, user.get(key, {}), f"{path}.")
         elif key in user:
-            path = crumb + key
             _check_type(user[key], _ALTERNATIVES.get(path, (base,)), path)
             out[key] = user[key]
         else:
-            out[key] = base
+            out[key] = copy.deepcopy(base)
     unknown = set(user) - set(defaults)
     if unknown:
         raise ValueError(f"config: unknown key(s) {sorted(unknown)} at {crumb or 'top level'}")
     return out
 
 
-def load_config(path: str | None) -> dict:
-    """Read a config JSON and fill gaps from the defaults."""
-    if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
+def load_config(path: str | Path | None) -> dict:
+    """The config JSON at ``path`` (none when ``path`` is None) merged onto
+    a private copy of the defaults."""
     try:
-        with open(path) as fh:
-            user = json.load(fh)
+        user = {} if path is None else json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ValueError(f"config: {path} is not valid JSON ({err})") from err
     return _merge(DEFAULT_CONFIG, user)
 
 
 def _synthetic(cfg: dict, seed_override: int | None) -> SyntheticSpec:
-    section = dict(cfg["synthetic"])
+    """The config's synthetic spec; a given ``seed_override`` also replaces the seed in ``cfg``."""
     if seed_override is not None:
-        section["seed"] = seed_override
-    return SyntheticSpec(**section)
+        cfg["synthetic"]["seed"] = seed_override
+    return SyntheticSpec(**cfg["synthetic"])
 
 
 def _window(cfg: dict) -> tuple[int, int]:
@@ -131,10 +133,7 @@ def cmd_generate(args) -> int:
     write_tensor(out / "f1.lcvt", f1.data)
     write_tensor(out / "f2.lcvt", f2.data)
     write_tensor(out / "flow.lcvt", flow.data)
-    cfg["synthetic"]["seed"] = spec.seed
-    with open(out / "meta.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "meta.json", cfg)
     print(f"generate: wrote {spec.channels}x{spec.height}x{spec.width} pair to {out}")
     return 0
 
@@ -166,12 +165,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     data_dir = Path(args.data)
     meta_path = data_dir / "meta.json"
-    if args.config is not None:
-        cfg = load_config(args.config)
-    elif meta_path.exists():
-        cfg = load_config(str(meta_path))
-    else:
-        cfg = load_config(None)
+    cfg = load_config(meta_path if args.config is None and meta_path.exists() else args.config)
     window = _window(cfg)
     p = PerturbSpec(**cfg["perturb"])
     spec = _synthetic(cfg, args.seed)
@@ -196,9 +190,7 @@ def cmd_eval(args) -> int:
         "aepe_identity": scores["aepe_identity"],
         "fl_identity": scores["fl_identity"],
     }
-    with open(args.out, "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, metrics)
     print(f"eval: aepe {metrics['aepe']:.4f} (identity {metrics['aepe_identity']:.4f})")
     return 0
 
@@ -252,35 +244,32 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lcv", description="Learnable cost volume experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Shared flags, each declared once; ``run`` adds ``--config`` for the commands that read one.
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    run = _Parser(add_help=False, parents=[seed])
+    run.add_argument("--config", default=None)
 
-    p_gen = sub.add_parser("generate", help="write one synthetic instance to a directory")
-    p_gen.add_argument("--config", default=None)
+    p_gen = sub.add_parser("generate", parents=[run], help="write one synthetic instance to a directory")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.set_defaults(func=cmd_generate)
 
-    p_train = sub.add_parser("train", help="train a kernel, write checkpoints and a log")
-    p_train.add_argument("--config", default=None)
+    p_train = sub.add_parser("train", parents=[run], help="train a kernel, write checkpoints and a log")
     p_train.add_argument("--out", required=True, help="output path prefix")
-    p_train.add_argument("--seed", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("eval", help="score a checkpoint against stored data")
+    p_eval = sub.add_parser("eval", parents=[run], help="score a checkpoint against stored data")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--config", default=None)
-    p_eval.add_argument("--seed", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_sweep = sub.add_parser("sweep", help="run the perturbation grids and write reports")
-    p_sweep.add_argument("--config", default=None)
+    p_sweep = sub.add_parser("sweep", parents=[run], help="run the perturbation grids and write reports")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_gc = sub.add_parser("gradcheck", help="validate analytic gradients against finite differences")
-    p_gc.add_argument("--seed", type=int, default=None)
+    p_gc = sub.add_parser("gradcheck", parents=[seed],
+                          help="validate analytic gradients against finite differences")
     p_gc.add_argument("--tolerance", type=float, default=1e-5)
     p_gc.add_argument("--eps", type=float, default=1e-5)
     p_gc.set_defaults(func=cmd_gradcheck)

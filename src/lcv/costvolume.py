@@ -530,8 +530,6 @@ def write_tensor(path, array: np.ndarray) -> None:
     # The payload is written from the array's own buffer, so a contiguous
     # little-endian float64 input is not copied.
     arr = np.ascontiguousarray(array, dtype="<f8")
-    if arr.ndim > 255:
-        raise ValueError("write_tensor: rank exceeds the format's single byte")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sBB", _TENSOR_MAGIC, _TENSOR_VERSION, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))

@@ -492,10 +492,15 @@ def report(results: list[ExperimentResult], out_dir) -> tuple[Path, Path]:
             }
         summary["groups"].append(entry)
     json_path = out / "summary.json"
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, summary)
     return csv_path, json_path
+
+
+def write_json(path, document) -> None:
+    """Write ``document`` in the package's one JSON format: indent 2, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)

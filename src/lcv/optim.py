@@ -26,6 +26,8 @@ from .cayley import (
     DiagParams,
     OrthogonalMatrix,
     SkewParams,
+    _require_finite,
+    _require_square,
     cayley_inverse,
     dlambda_dt,
     pack_skew,
@@ -90,8 +92,7 @@ def stiefel_project(X: OrthogonalMatrix, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.shape != Xv.shape:
         raise ValueError(f"stiefel_project: shapes disagree, {Z.shape} vs {Xv.shape}")
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("stiefel_project: Z must be finite")
+    _require_finite(Z, "stiefel_project")
     XtZ = Xv.T @ Z
     return Z - Xv @ XtZ + Xv @ (0.5 * (XtZ - XtZ.T))
 
@@ -106,8 +107,7 @@ def stiefel_retract(X: OrthogonalMatrix, Z: np.ndarray) -> OrthogonalMatrix:
     Z = np.asarray(Z, dtype=float)
     if Z.shape != Xv.shape:
         raise ValueError(f"stiefel_retract: shapes disagree, {Z.shape} vs {Xv.shape}")
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("stiefel_retract: Z must be finite")
+    _require_finite(Z, "stiefel_retract")
     if not Z.any():
         return X
     M = np.eye(Xv.shape[0]) + Z.T @ Z
@@ -117,8 +117,7 @@ def stiefel_retract(X: OrthogonalMatrix, Z: np.ndarray) -> OrthogonalMatrix:
 def matrix_inv_sqrt(M: np.ndarray) -> np.ndarray:
     """Inverse square root of an SPD matrix via its eigendecomposition."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix_inv_sqrt: expected a square matrix, got {M.shape}")
+    _require_square(M, "matrix_inv_sqrt")
     asym = float(np.max(np.abs(M - M.T)))
     if asym > INV_SQRT_SYM_TOL:
         raise ValueError(f"matrix_inv_sqrt: matrix is asymmetric by {asym:.3e}")
@@ -147,8 +146,7 @@ def _stiefel_move(kernel: SPDKernel, Z: np.ndarray, lr: float, d_diag: np.ndarra
     d_diag = np.asarray(d_diag, dtype=float)
     if d_diag.shape != kernel.diag_params.t.shape:
         raise ValueError("stiefel_sgd_step: d_diag shape disagrees with the parameters")
-    if not np.all(np.isfinite(d_diag)):
-        raise ValueError("stiefel_sgd_step: d_diag must be finite")
+    _require_finite(d_diag, "stiefel_sgd_step")
     newP = stiefel_retract(kernel.P, -lr * Z)
     t = DiagParams(t=kernel.diag_params.t - lr * d_diag)
     return assemble_kernel(pack_skew(cayley_inverse(newP)), t)

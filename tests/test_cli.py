@@ -8,12 +8,14 @@ installed ``lcv`` executable does it.
 """
 
 import contextlib
+import copy
 import importlib.metadata
 import io
 import json
 import math
 import os
 import platform
+import re
 import shutil
 import struct
 import subprocess
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 from lcv import cli
 from lcv.cli import DEFAULT_CONFIG, load_config, main
 from lcv.costvolume import FeatureMap, read_tensor, write_tensor
-from lcv.harness import PerturbSpec, StepRecord, perturb
+from lcv.harness import PerturbSpec, StepRecord, SyntheticSpec, generate, perturb
 from lcv.kernel import identity_kernel, load_kernel, save_kernel
 
 
@@ -117,6 +119,43 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg["window"] == [3, 3]
         assert cfg["synthetic"]["height"] == 32
+
+    def test_partial_file_shares_nothing_with_the_defaults(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"window": [3, 3]}))
+
+        def containers(value):
+            if isinstance(value, (dict, list)):
+                yield value
+                for child in value.values() if isinstance(value, dict) else value:
+                    yield from containers(child)
+
+        defaults = {id(c) for c in containers(DEFAULT_CONFIG)}
+        shared = [c for c in containers(load_config(str(path))) if id(c) in defaults]
+        assert shared == []
+
+    def test_a_seeded_run_leaves_the_defaults_of_the_next(self, tmp_path, monkeypatch):
+        # The defaults are swapped for a copy, so that a leak stays in this test.
+        monkeypatch.setattr(cli, "DEFAULT_CONFIG", copy.deepcopy(DEFAULT_CONFIG))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"window": [3, 3]}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["generate", "--config", str(path), "--seed", "5", "--out", str(a)]) == 0
+        assert main(["generate", "--out", str(b)]) == 0
+        assert json.loads((b / "meta.json").read_text())["synthetic"]["seed"] == 0
+        assert read_tensor(b / "f1.lcvt").tobytes() == generate(SyntheticSpec())[0].data.tobytes()
+        assert cli.DEFAULT_CONFIG == DEFAULT_CONFIG
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"synthetic": 3}, "config: expected an object at synthetic."),
+        ({"window": [5]}, "config: window must be a pair, got [5]"),
+    ], ids=["section-not-an-object", "window-not-a-pair"])
+    def test_malformed_config_exits_1_before_writing(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -735,6 +774,22 @@ class TestUsageErrors:
             main(argv)
         assert stop.value.code == 1
         assert "usage: lcv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("generate", {"--config", "--out", "--seed"}),
+        ("train", {"--config", "--out", "--seed"}),
+        ("eval", {"--checkpoint", "--config", "--data", "--out", "--seed"}),
+        ("sweep", {"--config", "--out", "--seed"}),
+        ("gradcheck", {"--eps", "--seed", "--tolerance"}),
+    ])
+    def test_help_lists_the_command_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+        assert set(re.findall(r"--\w+", text)) == flags | {"--help"}
+        if command == "train":
+            assert "output path prefix" in text
 
 
 REPO = Path(__file__).resolve().parents[1]

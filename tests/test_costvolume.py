@@ -180,6 +180,11 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             vanilla_cost_volume(f1, f2, 3, 3)
 
+    def test_kernel_of_the_wrong_size_rejected(self):
+        f = FeatureMap(np.zeros((2, 4, 4)))
+        with pytest.raises(ValueError, match=r"cost_volume_bilinear: W shape \(3, 3\)"):
+            cost_volume_bilinear(f, f, np.eye(3), 3, 3)
+
 
 class TestWhiteningEquivalence:
     def test_factored_features_reproduce_learned_volume(self):

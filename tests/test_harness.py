@@ -8,6 +8,7 @@ broken implementation.
 
 import csv
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -160,6 +161,29 @@ class TestGenerate:
     def test_mixing_shape_validated(self):
         with pytest.raises(ValueError):
             SyntheticSpec(signal_channels=2, noise_channels=0, mixing=np.eye(3))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: SyntheticSpec(width=0),
+                 "SyntheticSpec: frame dimensions must be positive", id="spec-size"),
+    pytest.param(lambda: SyntheticSpec(signal_channels=0),
+                 "SyntheticSpec: need at least one signal channel", id="spec-signal"),
+    pytest.param(lambda: SyntheticSpec(noise_channels=-1),
+                 "SyntheticSpec: noise_channels must be nonnegative", id="spec-noise"),
+    pytest.param(lambda: SyntheticSpec(max_displacement=-1),
+                 "SyntheticSpec: max_displacement must be nonnegative", id="spec-displacement"),
+    pytest.param(lambda: SyntheticSpec(seed=-1),
+                 "SyntheticSpec: seed must be nonnegative", id="spec-seed"),
+    pytest.param(lambda: replace(fake_result(0, PerturbSpec()), fl_learned=float("nan")),
+                 "ExperimentResult: fl_learned must be finite and nonnegative", id="result-metric"),
+    pytest.param(lambda: replace(fake_result(0, PerturbSpec()), steps=-1),
+                 "ExperimentResult: steps must be nonnegative", id="result-steps"),
+    pytest.param(lambda: perturb(FeatureMap(np.zeros((2, 3, 3))), PerturbSpec(), seed=0, signal_channels=3),
+                 "perturb: signal_channels 3 outside [0, 2]", id="perturb-signal-channels"),
+])
+def test_invalid_input_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def _ref_perturb(f, p, seed, signal_channels=None):

@@ -164,6 +164,10 @@ class TestGradients:
         np.testing.assert_allclose(g.d_skew, [0.0], atol=1e-15)
         np.testing.assert_allclose(g.d_diag, [4.0 / np.pi, 4.0 / np.pi], atol=1e-15)
 
+    def test_gradient_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"kernel_factor_grads: gradient shape \(3, 3\)"):
+            kernel_grad(identity_kernel(2), np.zeros((3, 3)))
+
     def test_factor_grads_shapes(self):
         rng = np.random.default_rng(53)
         k = random_kernel(rng, 4)

@@ -6,6 +6,8 @@ from the identity.  The target sits exactly on the parameterized set
 and agree with each other.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,40 @@ class TestFiniteDifferenceOracle:
         t = DiagParams(t=np.zeros(2))
         with pytest.raises(ValueError):
             finite_difference_oracle(lambda sp, tp: float("nan"), s, t)
+
+
+X2 = OrthogonalMatrix(np.eye(2))
+NAN2 = np.array([[np.nan, 0.0], [0.0, 0.0]])
+
+
+class TestValidation:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: OptimizerConfig(learning_rate=0.0),
+                     "OptimizerConfig: learning_rate must be positive and finite", id="config-lr"),
+        pytest.param(lambda: OptimizerConfig(max_steps=0),
+                     "OptimizerConfig: max_steps must be at least 1", id="config-max-steps"),
+        pytest.param(lambda: OptimizerConfig(grad_tolerance=0.0),
+                     "OptimizerConfig: grad_tolerance must be positive", id="config-grad-tolerance"),
+        pytest.param(lambda: stiefel_project(X2, np.zeros((3, 3))),
+                     "stiefel_project: shapes disagree", id="project-shape"),
+        pytest.param(lambda: stiefel_project(X2, NAN2),
+                     "stiefel_project: values must be finite", id="project-finite"),
+        pytest.param(lambda: stiefel_retract(X2, np.zeros((3, 3))),
+                     "stiefel_retract: shapes disagree", id="retract-shape"),
+        pytest.param(lambda: stiefel_retract(X2, NAN2),
+                     "stiefel_retract: values must be finite", id="retract-finite"),
+        pytest.param(lambda: matrix_inv_sqrt(np.ones((2, 3))),
+                     "matrix_inv_sqrt: expected a square matrix", id="inv-sqrt-square"),
+        pytest.param(lambda: stiefel_sgd_step(identity_kernel(2), np.zeros((2, 2)), 0.0, np.zeros(2)),
+                     "stiefel_sgd_step: lr must be positive and finite", id="step-lr"),
+        pytest.param(lambda: stiefel_sgd_step(identity_kernel(2), np.zeros((2, 2)), 0.1, np.zeros(3)),
+                     "stiefel_sgd_step: d_diag shape disagrees", id="step-d-diag-shape"),
+        pytest.param(lambda: stiefel_sgd_step(identity_kernel(2), np.zeros((2, 2)), 0.1, [np.nan, 0.0]),
+                     "stiefel_sgd_step: values must be finite", id="step-d-diag-finite"),
+    ])
+    def test_invalid_input_rejected(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestConfigAndBenchmark:
