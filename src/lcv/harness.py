@@ -253,10 +253,10 @@ def train_kernel(
     Every visited kernel is scored by decoding the training instances;
     the returned kernel is the earliest one with the strictly lowest
     training AEPE, so training can never hand back something worse than
-    the identity start on data the identity already solves.  Stops when
-    the gradient max-norm drops below ``opt.grad_tolerance`` or after
-    ``opt.max_steps`` updates.  One record per visited kernel, so
-    ``records[-1].step`` is the number of updates.
+    the identity start on data the identity already solves.  Makes
+    exactly ``opt.max_steps`` updates; the last visited kernel is scored
+    but not stepped, since that step's kernel would never be scored.  One
+    record per visited kernel, so ``records[-1].step`` is ``opt.max_steps``.
     """
     if not instances:
         raise ValueError("train_kernel: need at least one instance")
@@ -295,7 +295,7 @@ def train_kernel(
             wall_ms=(time.perf_counter() - t0) * 1000.0,
         ))
 
-        if grad_norm < opt.grad_tolerance or step == opt.max_steps:
+        if step == opt.max_steps:
             break
         try:
             kernel = update(opt.learning_rate)

@@ -42,9 +42,10 @@ class SPDKernel:
     of ``skew_params``), ``lam`` (the arctan map of ``diag_params``) and
     ``W = P^T diag(lam) P`` are derived once, at construction.  Every
     ``lam[i]`` is checked finite, and positive within a spread of
-    ``1 / eps`` (past it, rounding ``W`` can cost it its smallest
-    eigenvalue), before ``W`` is formed, which, with ``P`` orthogonal,
-    makes ``W`` positive definite in float64.
+    ``1 / eps``, before ``W`` is formed.  That spread alone does not keep
+    the rounded ``W`` positive definite at every channel count (at c=64
+    a spread near ``1 / eps`` often loses it), so ``W`` must also pass a
+    Cholesky factorization, which defines "positive definite in float64".
     """
 
     skew_params: SkewParams
@@ -62,9 +63,15 @@ class SPDKernel:
             raise ValueError(f"SPDKernel: lam [{lam.min():.3g}, {lam.max():.3g}] is not "
                              "positive within the spread float64 resolves")
         W = P.values.T @ (lam[:, None] * P.values)
+        W = _frozen(0.5 * (W + W.T), "SPDKernel.W", 2)
+        try:
+            np.linalg.cholesky(W)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"SPDKernel: W with lam [{lam.min():.3g}, {lam.max():.3g}] is not "
+                             "positive definite in float64 (Cholesky fails)") from None
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "W", _frozen(0.5 * (W + W.T), "SPDKernel.W", 2))
+        object.__setattr__(self, "W", W)
 
     @property
     def dim(self) -> int:

@@ -51,7 +51,6 @@ class OptimizerConfig:
 
     learning_rate: float = 1e-2
     max_steps: int = 500
-    grad_tolerance: float = 1e-6
     mode: str = "cayley"
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class OptimizerConfig:
             raise ValueError("OptimizerConfig: learning_rate must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("OptimizerConfig: max_steps must be at least 1")
-        if not (self.grad_tolerance > 0):
-            raise ValueError("OptimizerConfig: grad_tolerance must be positive")
         if self.mode not in _MODES:
             raise ValueError(f"OptimizerConfig: mode must be one of {_MODES}, got {self.mode!r}")
 
@@ -157,9 +154,9 @@ def gradient_step(
 ) -> tuple[float, Callable[[float], SPDKernel]]:
     """Gradient max-norm at ``kernel`` and the ``mode`` update for ``dW = dL/dW``.
 
-    The update is returned as ``step(lr)``, so a caller can test the norm
-    for convergence before paying for the step.  This is the one place
-    that chooses between the optimizer modes.
+    The update is returned as ``step(lr)``, deferred only so that a caller
+    can skip the final step, whose kernel it would never score.  This is
+    the one place that chooses between the optimizer modes.
     """
     if mode == "cayley":
         grad = kernel_grad(kernel, dW)

@@ -252,8 +252,7 @@ def desk_scale_runs():
     results = {}
     timings = {}
     for mode in ("cayley", "stiefel"):
-        opt = OptimizerConfig(learning_rate=0.01, max_steps=500,
-                              grad_tolerance=1e-6, mode=mode)
+        opt = OptimizerConfig(learning_rate=0.01, max_steps=500, mode=mode)
         t0 = time.perf_counter()
         results[mode] = [
             run_experiment(replace(DESK_SPEC, seed=s), DESK_PERTURB, opt,

@@ -82,6 +82,42 @@ def test_main_exits_nonzero_naming_each_differing_file(tmp_path, monkeypatch, ca
     assert f"{len(FILES)} files compared" in out
 
 
+def test_key_differences_name_each_moved_key():
+    parent = {"optimizer": {"learning_rate": 0.01, "grad_tolerance": 1e-6},
+              "window": [3, 3], "instances": 5, "sweep": {"seeds": [7]}}
+    change = {"optimizer": {"learning_rate": 0.01, "momentum": 0.9},
+              "window": [3, 5], "instances": 5.0, "sweep": {"seeds": [7]}}
+    assert byte_identity.key_differences(parent, change) == [
+        "instances: differs",
+        "optimizer.grad_tolerance: only in parent",
+        "optimizer.momentum: only in change",
+        "window: differs",
+    ]
+    assert byte_identity.key_differences(parent, parent) == []
+    assert byte_identity.key_differences([1], [2]) == ["(top level): differs"]
+
+
+def test_main_prints_the_keys_that_moved_inside_a_json_file(tmp_path, monkeypatch, capsys):
+    meta = {"optimizer": {"learning_rate": 0.01, "max_steps": 40, "mode": "cayley"}}
+    files = {**FILES, "cayley/data/meta.json": json.dumps(meta), "stiefel/sweep/summary.json": "[]"}
+
+    def canned(tree, out):
+        if tree.name == "parent":
+            _write(out, {**files, "cayley/data/meta.json": json.dumps(
+                {"optimizer": {**meta["optimizer"], "grad_tolerance": 1e-6}})})
+        else:
+            _write(out, {**files, "stiefel/sweep/summary.json": "[1]"})
+
+    monkeypatch.setattr(byte_identity, "run_recipe", canned)
+    assert byte_identity.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "differs: cayley/data/meta.json",
+        "  optimizer.grad_tolerance: only in parent",
+        "differs: stiefel/sweep/summary.json",
+        "  (top level): differs",
+    ]
+
+
 def test_a_perturbation_below_the_decode_is_reported(tmp_path):
     # A tree whose noise is scaled by 1 + 2**-50 moves no decoded match of
     # the recipe, but the digest of the frame ``lcv eval`` scores differs.

@@ -29,10 +29,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcv import cli
+from lcv.cayley import t_from_lambda
 from lcv.cli import DEFAULT_CONFIG, load_config, main
 from lcv.costvolume import FeatureMap, read_tensor, write_tensor
 from lcv.harness import PerturbSpec, StepRecord, SyntheticSpec, generate, perturb
 from lcv.kernel import identity_kernel, load_kernel, save_kernel
+from lcv.optim import OptimizerConfig
 
 
 @pytest.fixture
@@ -168,6 +170,36 @@ class TestConfig:
         path.write_text(json.dumps({"optimizer": {"momentum": 0.9}}))
         with pytest.raises(ValueError, match="optimizer"):
             load_config(str(path))
+
+    # Training always makes max_steps updates; the stop test on the gradient
+    # norm is gone, and a file that still sets it is refused, not ignored.
+    def test_retired_grad_tolerance_is_no_field(self):
+        assert list(OptimizerConfig.__dataclass_fields__) == ["learning_rate", "max_steps", "mode"]
+        assert list(load_config(None)["optimizer"]) == ["learning_rate", "max_steps", "mode"]
+        with pytest.raises(TypeError, match="grad_tolerance"):
+            OptimizerConfig(grad_tolerance=1e-6)
+
+    def test_retired_grad_tolerance_in_a_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"optimizer": {"grad_tolerance": 1e-6}}))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "grad_tolerance" in err and "optimizer." in err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_retired_grad_tolerance_in_a_stored_meta_exits_1(self, tmp_path, tiny_config, capsys):
+        data = tmp_path / "data"
+        assert main(["generate", "--config", tiny_config, "--out", str(data)]) == 0
+        meta = json.loads((data / "meta.json").read_text())
+        meta["optimizer"]["grad_tolerance"] = 1e-6
+        (data / "meta.json").write_text(json.dumps(meta))
+        save_kernel(tmp_path / "k.lcvk", identity_kernel(4))
+        out = tmp_path / "m.json"
+        assert main(["eval", "--checkpoint", str(tmp_path / "k.lcvk"), "--data", str(data),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "grad_tolerance" in err and "optimizer." in err
+        assert not out.exists()
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -530,6 +562,24 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "k.lcvk"), "--data", str(data),
                      "--out", str(out), "--config", str(config)]) == 1
         assert "(4, 0, 12) have no pixels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_whose_w_fails_cholesky_exits_1(self, tmp_path, tiny_config, capsys):
+        # c=64, half of lam at 1.05 eps: the spread rule accepts it, but the
+        # rounded W has a negative eigenvalue (about -3 eps).
+        c = 64
+        lam = np.ones(c)
+        lam[c // 2:] = 1.05 * np.finfo(float).eps
+        s = 2.0 * np.random.default_rng(1).standard_normal(c * (c - 1) // 2)
+        checkpoint = tmp_path / "k.lcvk"
+        checkpoint.write_bytes(struct.pack("<4sBI", b"LCVK", 1, c)
+                               + np.concatenate([s, t_from_lambda(lam).t]).astype("<f8").tobytes())
+        data, out = tmp_path / "data", tmp_path / "m.json"
+        main(["generate", "--config", tiny_config, "--out", str(data)])
+        rc = main(["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "k.lcvk" in err and "Cholesky" in err
         assert not out.exists()
 
     def test_missing_checkpoint_exits_1(self, tmp_path, tiny_config):

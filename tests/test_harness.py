@@ -59,7 +59,7 @@ from lcv.optim import (
 
 TINY = SyntheticSpec(height=12, width=12, signal_channels=2, noise_channels=2,
                      max_displacement=1, seed=3)
-FAST_OPT = OptimizerConfig(learning_rate=5e-3, max_steps=8, grad_tolerance=1e-9)
+FAST_OPT = OptimizerConfig(learning_rate=5e-3, max_steps=8)
 
 
 class TestGenerate:
@@ -772,20 +772,16 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_kernel([], FAST_OPT, (3, 3))
 
-    def test_grad_tolerance_stops_at_the_identity(self):
+    def test_makes_exactly_max_steps_updates(self):
         # run_experiment with 2 instances trains on the first of these.
         data, _ = experiment_instances(TINY, 2)
-        at_identity = train_kernel(data[:1], FAST_OPT, (3, 3))[1][0].grad_norm
-        assert at_identity > 0.0
-        opt = replace(FAST_OPT, grad_tolerance=2.0 * at_identity)
-        kernel, records = train_kernel(data[:1], opt, (3, 3))
-        assert len(records) == 1 and records[-1].step == 0
-        assert kernel.W.tobytes() == identity_kernel(TINY.channels).W.tobytes()
-        assert run_experiment(TINY, PerturbSpec(), opt, (3, 3), instances=2).steps == 0
+        _, records = train_kernel(data[:1], FAST_OPT, (3, 3))
+        assert [r.step for r in records] == list(range(FAST_OPT.max_steps + 1))
+        assert run_experiment(TINY, PerturbSpec(), FAST_OPT, (3, 3), instances=2).steps == FAST_OPT.max_steps
 
     @pytest.mark.parametrize("mode", ["cayley", "stiefel"])
     def test_matches_reference_loop(self, mode):
-        opt = OptimizerConfig(learning_rate=0.05, max_steps=12, grad_tolerance=1e-9, mode=mode)
+        opt = OptimizerConfig(learning_rate=0.05, max_steps=12, mode=mode)
         data, _ = experiment_instances(TINY, 2)
         kernel, records = train_kernel(data, opt, (3, 3))
         ref_kernel, ref_records = reference_train(data, opt, (3, 3))
@@ -802,7 +798,7 @@ class TestTraining:
         # and what one geometry left in them must not leak into another.
         # Under the smaller budgets the frames take 1 row a chunk, or 9, 4
         # and 3 rows, so chunks differ in size between the problems too.
-        opt = OptimizerConfig(learning_rate=0.05, max_steps=6, grad_tolerance=1e-9, mode=mode)
+        opt = OptimizerConfig(learning_rate=0.05, max_steps=6, mode=mode)
         data = [generate(replace(TINY, height=h, width=w, seed=seed))
                 for h, w, seed in ((3, 5, 3), (17, 9, 1), (9, 19, 2))]
         with _budget(costvolume._CHUNK_BYTES if budget is None else budget):
@@ -840,7 +836,7 @@ def reference_train(instances, opt, window):
             tangent = stiefel_project(kernel.P, dL_dP)
             grad_norm = float(max(np.max(np.abs(tangent)), np.max(np.abs(d_diag))))
         records.append((step, total_loss / len(instances), grad_norm))
-        if grad_norm < opt.grad_tolerance or step == opt.max_steps:
+        if step == opt.max_steps:
             break
         if opt.mode == "cayley":
             kernel = cayley_sgd_step(kernel, grad, opt.learning_rate)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcv.cayley import DiagParams, SkewParams, lambda_from_t, unpack_skew
+from lcv.cayley import DiagParams, SkewParams, lambda_from_t, t_from_lambda, unpack_skew
 from lcv.kernel import (
     KernelGradient,
     SPDKernel,
@@ -83,6 +83,24 @@ class TestAssembly:
         else:
             with pytest.raises(ValueError, match="spread float64 resolves"):
                 make()
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(2, 128), seed=st.integers(0, 2**32 - 1),
+           log_spread=st.floats(0.0, np.log10(1.0 / np.finfo(float).eps)))
+    # Half of lam at 1.05 eps, which the spread rule accepts; this draw's
+    # rounded W fails Cholesky, so the kernel must be refused.
+    @example(c=128, seed=6, log_spread=-np.log10(1.05 * np.finfo(float).eps))
+    def test_every_accepted_kernel_passes_cholesky(self, c, seed, log_spread):
+        rng = np.random.default_rng(seed)
+        lam = np.ones(c)
+        lam[rng.permutation(c)[: c // 2]] = 10.0 ** -log_spread
+        s = SkewParams(entries=2.0 * rng.standard_normal(c * (c - 1) // 2), dim=c)
+        try:
+            kernel = assemble_kernel(s, t_from_lambda(lam))
+        except ValueError as err:
+            assert "positive" in str(err)
+            return
+        np.linalg.cholesky(kernel.W)
 
     def test_eigenvalues_match_diag_map(self):
         rng = np.random.default_rng(31)

@@ -227,8 +227,6 @@ class TestValidation:
                      "OptimizerConfig: learning_rate must be positive and finite", id="config-lr"),
         pytest.param(lambda: OptimizerConfig(max_steps=0),
                      "OptimizerConfig: max_steps must be at least 1", id="config-max-steps"),
-        pytest.param(lambda: OptimizerConfig(grad_tolerance=0.0),
-                     "OptimizerConfig: grad_tolerance must be positive", id="config-grad-tolerance"),
         pytest.param(lambda: stiefel_project(X2, np.zeros((3, 3))),
                      "stiefel_project: shapes disagree", id="project-shape"),
         pytest.param(lambda: stiefel_project(X2, NAN2),

@@ -17,8 +17,10 @@ that moves no decoded match still shows.  Each tree's own ``src`` comes first on
 and BLAS runs on one thread unless the environment sets otherwise.  Every file written must match the
 other tree's.  The train log is compared with ``wall_ms`` dropped from each
 of its JSON lines, since wall times differ between any two runs.  Prints
-each differing file and exits 1 when there is one, or when a command fails;
-else exits 0.
+each differing file, and under a differing ``.json`` file the dotted keys
+whose values differ or that only one side has (for example
+``optimizer.grad_tolerance: only in parent``), and exits 1 when there is one,
+or when a command fails; else exits 0.
 """
 
 from __future__ import annotations
@@ -132,6 +134,24 @@ def differences(a: Path, b: Path) -> list[str]:
                   if p not in files[0] or p not in files[1] or comparable(a / p) != comparable(b / p))
 
 
+def key_differences(parent, change, crumb="") -> list[str]:
+    """Dotted keys, with ``crumb`` before each, at which the JSON values
+    ``parent`` and ``change`` differ, each with how: ``only in parent``,
+    ``only in change`` or ``differs``.  Objects are compared key by key;
+    any other value as a whole."""
+    if not (isinstance(parent, dict) and isinstance(change, dict)):
+        return [] if json.dumps(parent) == json.dumps(change) else [f"{crumb[:-1] or '(top level)'}: differs"]
+    lines = []
+    for key in sorted(parent.keys() | change.keys()):
+        if key not in change:
+            lines.append(f"{crumb}{key}: only in parent")
+        elif key not in parent:
+            lines.append(f"{crumb}{key}: only in change")
+        else:
+            lines += key_differences(parent[key], change[key], f"{crumb}{key}.")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -144,8 +164,11 @@ def main(argv=None) -> int:
             run_recipe(tree.resolve(), out)
         compared = sum(1 for p in outs[0].rglob("*") if p.is_file())
         differ = differences(*outs)
-    for path in differ:
-        print(f"differs: {path}")
+        for path in differ:
+            print(f"differs: {path}")
+            if path.endswith(".json") and all((out / path).is_file() for out in outs):
+                for line in key_differences(*(json.loads((out / path).read_text()) for out in outs)):
+                    print(f"  {line}")
     print(f"byte_identity: {compared} files compared in modes {', '.join(MODES)}, {len(differ)} differ")
     return 1 if differ else 0
 
