@@ -204,17 +204,14 @@ def cmd_sweep(args) -> int:
     seeds = sweep_cfg["seeds"]
     if not isinstance(seeds, list):
         seeds = [spec.seed + i for i in range(seeds)]
-    results = run_sweep(
-        spec,
-        opt,
-        window,
-        seeds,
-        gamma_grid=tuple(sweep_cfg["gamma_grid"]),
-        noise_grid=tuple(sweep_cfg["noise_grid"]),
-        patch_grid=tuple(sweep_cfg["patch_grid"]),
-        instances=cfg["instances"],
-    )
-    csv_path, json_path = report(results, args.out)
+    out = Path(args.out)
+    # Nothing trains for an --out that no directory can be made at.
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"sweep: --out {out} cannot be a directory: {nearest} is not one")
+    grids = {key: tuple(sweep_cfg[key]) for key in ("gamma_grid", "noise_grid", "patch_grid")}
+    results = run_sweep(spec, opt, window, seeds, instances=cfg["instances"], **grids)
+    csv_path, json_path = report(results, out)
     print(f"sweep: {len(results)} rows -> {csv_path}, {json_path}")
     return 0
 

@@ -241,6 +241,29 @@ def _check_disc(p: PerturbSpec, h: int, w: int) -> None:
         raise ValueError(f"perturb: disc of radius {r} does not fit a {h}x{w} frame")
 
 
+def _objective(instances: list[tuple[FeatureMap, FeatureMap, FlowField]],
+               window: tuple[int, int], workspace: _Workspace | None = None):
+    """The training objective ``W -> (loss, dW, train_aepe)``: the pairs' mean
+    matching loss, its gradient on ``W`` and the mean AEPE of their decodes,
+    each summed in pair order, then divided by the pair count.  The pairs'
+    problems are built once and share one workspace: they run one at a time."""
+    workspace = _Workspace() if workspace is None else workspace
+    problems = [_MatchingProblem(f1, f2, gt, window, workspace) for f1, f2, gt in instances]
+    c, n = instances[0][0].channels, len(problems)
+
+    def evaluate(W: np.ndarray) -> tuple[float, np.ndarray, float]:
+        loss, dW, train_aepe = 0.0, np.zeros((c, c)), 0.0
+        for problem in problems:
+            loss_i, dW_i, aepe_i = problem.loss_grad(W)
+            loss += loss_i
+            dW += dW_i
+            train_aepe += aepe_i
+        dW /= n
+        return loss / n, dW, train_aepe / n
+
+    return evaluate
+
+
 def train_kernel(
     instances: list[tuple[FeatureMap, FeatureMap, FlowField]],
     opt: OptimizerConfig,
@@ -248,7 +271,7 @@ def train_kernel(
     *,
     _workspace: _Workspace | None = None,
 ) -> tuple[SPDKernel, list[StepRecord]]:
-    """Full-batch gradient descent from the identity kernel.
+    """Full-batch gradient descent on :func:`_objective`, from the identity kernel.
 
     Every visited kernel is scored by decoding the training instances;
     the returned kernel is the earliest one with the strictly lowest
@@ -260,41 +283,19 @@ def train_kernel(
     """
     if not instances:
         raise ValueError("train_kernel: need at least one instance")
-    # One workspace serves every problem: they run one at a time.
-    workspace = _Workspace() if _workspace is None else _workspace
-    problems = [_MatchingProblem(f1, f2, gt, window, workspace) for f1, f2, gt in instances]
-    c = instances[0][0].channels
-    kernel = identity_kernel(c)
-    records: list[StepRecord] = []
-    best_aepe = float("inf")
-    best_kernel = kernel
+    objective = _objective(instances, window, _workspace)
+    kernel = best_kernel = identity_kernel(instances[0][0].channels)
+    best_aepe, records = float("inf"), []
 
     for step in range(opt.max_steps + 1):
         t0 = time.perf_counter()
-        total_loss = 0.0
-        train_aepe = 0.0
-        dW = np.zeros((c, c))
-        for problem in problems:
-            loss_i, dW_i, aepe_i = problem.loss_grad(kernel.W)
-            total_loss += loss_i
-            dW += dW_i
-            train_aepe += aepe_i
-        n = len(instances)
-        dW /= n
-        train_aepe /= n
-
+        loss, dW, train_aepe = objective(kernel.W)
         if train_aepe < best_aepe:
-            best_aepe = train_aepe
-            best_kernel = kernel
+            best_aepe, best_kernel = train_aepe, kernel
 
         grad_norm, update = gradient_step(kernel, dW, opt.mode)
-        records.append(StepRecord(
-            step=step,
-            loss=total_loss / n,
-            grad_norm=grad_norm,
-            wall_ms=(time.perf_counter() - t0) * 1000.0,
-        ))
-
+        records.append(StepRecord(step=step, loss=loss, grad_norm=grad_norm,
+                                  wall_ms=(time.perf_counter() - t0) * 1000.0))
         if step == opt.max_steps:
             break
         try:
@@ -434,7 +435,8 @@ def run_sweep(
     Training only sees clean instances, so for a fixed seed every grid
     point shares the same learned kernel; results are identical to
     calling :func:`run_experiment` point by point, just without the
-    redundant retraining.  With no seed or no grid point it raises first.
+    redundant retraining.  With no seed, a bad seed or no grid point it
+    raises before the first seed trains.
     """
     points = (
         [PerturbSpec(gamma=g) for g in gamma_grid]
@@ -444,8 +446,8 @@ def run_sweep(
     if len(seeds) == 0 or not points:
         raise ValueError(f"run_sweep: nothing to sweep over {len(seeds)} seed(s) x "
                          f"{len(points)} grid point(s)")
-    return [r for seed in seeds
-            for r in _train_and_score(replace(spec, seed=int(seed)), points, opt, window, instances)]
+    specs = [replace(spec, seed=int(seed)) for seed in seeds]
+    return [r for s in specs for r in _train_and_score(s, points, opt, window, instances)]
 
 
 _CSV_COLUMNS = ("seed", "gamma", "noise_std", "patch_radius", "steps") + _METRIC_NAMES
@@ -558,7 +560,8 @@ def run_gradcheck(
         def match_loss(sp, tp):
             return matching_loss(cost_volume_bilinear(f1, f2, assemble_kernel(sp, tp).W, 3, 3), gt)[0]
 
-        problem = _MatchingProblem(f1, f2, gt, (3, 3))
-        check(f"matching_{i}", s, t, match_loss, lambda W: problem.loss_grad(W)[1])
+        # The analytic side is the gradient that training follows.
+        objective = _objective([(f1, f2, gt)], (3, 3))
+        check(f"matching_{i}", s, t, match_loss, lambda W: objective(W)[1])
 
     return checks

@@ -779,6 +779,37 @@ class TestSweep:
         assert "disc of radius 16 does not fit a 12x12 frame" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_negative_seed_exits_1_before_training(self, tmp_path, tiny_config, capsys,
+                                                     monkeypatch):
+        def trained(*args, **kwargs):
+            pytest.fail("train_kernel was called")
+
+        monkeypatch.setattr("lcv.harness.train_kernel", trained)
+        cfg = json.loads(Path(tiny_config).read_text())
+        cfg["sweep"]["seeds"] = [0, 1, -1]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "error: SyntheticSpec: seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["a_file", "under_a_file"])
+    def test_an_out_that_cannot_be_a_directory_exits_1_before_training(
+            self, tmp_path, tiny_config, capsys, monkeypatch, under):
+        def trained(*args, **kwargs):
+            pytest.fail("train_kernel was called")
+
+        monkeypatch.setattr("lcv.harness.train_kernel", trained)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / under if under else blocker
+        assert main(["sweep", "--config", tiny_config, "--out", str(out)]) == 1
+        assert (f"error: sweep: --out {out} cannot be a directory: {blocker} is not one"
+                in capsys.readouterr().err)
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
     def test_all_grids_empty_exits_1_before_training(self, tmp_path, tiny_config, capsys,
                                                      monkeypatch):
         def trained(*args, **kwargs):

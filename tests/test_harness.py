@@ -807,6 +807,36 @@ class TestTraining:
         assert np.array_equal(kernel.W, ref_kernel.W)
         assert [(r.step, r.loss, r.grad_norm) for r in records] == ref_records
 
+    @pytest.mark.parametrize("rotated", [False, True], ids=["identity", "rotated"])
+    def test_objective_is_the_pair_mean_of_loss_gradient_and_decode_error(self, rotated):
+        # Under a budget of 5 rows of the 19-pixel-wide frame, its 9 rows are two chunks.
+        data = [generate(replace(TINY, height=h, width=w, seed=seed))
+                for h, w, seed in ((7, 6, 3), (9, 19, 2))]
+        c, n = TINY.channels, len(data)
+        W = identity_kernel(c).W
+        if rotated:
+            rng = np.random.default_rng(4)
+            W = assemble_kernel(SkewParams(entries=rng.uniform(-0.5, 0.5, c * (c - 1) // 2), dim=c),
+                                DiagParams(t=np.full(c, 0.5))).W
+        with _budget(5 * _row_bytes(19, 3, 3)):
+            loss, dW, train_aepe = harness._objective(data, (3, 3))(W)
+            problems = [_MatchingProblem(f1, f2, gt, (3, 3)) for f1, f2, gt in data]
+            assert problems[1]._frames.rows == 5
+            aepe = 0.0
+            for problem, (_, _, gt) in zip(problems, data):
+                aepe += epe(problem.decode(W), gt)
+            ref_dW = np.zeros((c, c))
+            for problem in problems:
+                ref_dW += problem.loss_grad(W)[1]
+        assert _bits(train_aepe) == _bits(aepe / n)
+        assert 0.0 < train_aepe
+        ref_dW /= n
+        assert _bits(dW) == _bits(ref_dW)
+        if not rotated:
+            # reference_train's first step is taken at the identity.
+            _, ref_records = reference_train(data, replace(FAST_OPT, max_steps=1), (3, 3))
+            assert ref_records[0][1] == loss
+
 
 def reference_train(instances, opt, window):
     """``train_kernel`` as one branch per mode over the public step functions.
@@ -1057,6 +1087,17 @@ class TestGradCheck:
         assert len(checks) == 40
         for c in checks:
             assert c.passed, f"{c.name}: rel error {c.rel_error}"
+
+    def test_matching_checks_differentiate_the_training_objective(self, monkeypatch):
+        objective, pairs = harness._objective, []
+
+        def spy(instances, window, workspace=None):
+            pairs.append(len(instances))
+            return objective(instances, window, workspace)
+
+        monkeypatch.setattr(harness, "_objective", spy)
+        run_gradcheck(seed=0)
+        assert pairs == [1] * 20
 
     def test_rel_errors_are_tiny(self):
         checks = run_gradcheck(seed=1)
