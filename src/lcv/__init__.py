@@ -61,7 +61,6 @@ from .optim import (
     OptimizerConfig,
     cayley_sgd_step,
     finite_difference_oracle,
-    matrix_inv_sqrt,
     step_benchmark,
     stiefel_project,
     stiefel_retract,

@@ -46,6 +46,8 @@ class SPDKernel:
     the rounded ``W`` positive definite at every channel count (at c=64
     a spread near ``1 / eps`` often loses it), so ``W`` must also pass a
     Cholesky factorization, which defines "positive definite in float64".
+    Nothing here calls ``eigvalsh`` on ``W``: near the spread limit it can
+    give an accepted kernel an eigenvalue near ``-eps * lam.max()`` (c=64, 128).
     """
 
     skew_params: SkewParams

@@ -4,8 +4,8 @@ Two interchangeable update rules maintain the SPD structure:
 
 * ``cayley_sgd_step`` walks the free parameters ``(s, t)`` with plain SGD
   and reassembles the kernel through the Cayley maps;
-* ``stiefel_sgd_step`` walks the orthogonal factor directly on its
-  manifold (project the Euclidean gradient to the tangent space, retract)
+* ``stiefel_sgd_step`` walks the square orthogonal factor ``P`` on the
+  orthogonal group (tangent ``P skew(P^T G)``, polar-factor retraction)
   while the diagonal factor still moves through the arctan chart.
 
 Both build the next ``SPDKernel`` from its free parameters ``(s, t)`` with
@@ -27,7 +27,6 @@ from .cayley import (
     OrthogonalMatrix,
     SkewParams,
     _require_finite,
-    _require_square,
     cayley_inverse,
     dlambda_dt,
     pack_skew,
@@ -42,7 +41,6 @@ from .kernel import (
 )
 
 _MODES = ("cayley", "stiefel")
-INV_SQRT_SYM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,11 +77,10 @@ def cayley_sgd_step(kernel: SPDKernel, grad: KernelGradient, lr: float) -> SPDKe
 
 
 def stiefel_project(X: OrthogonalMatrix, Z: np.ndarray) -> np.ndarray:
-    """Project an ambient matrix onto the tangent space at ``X``.
+    """Project an ambient matrix onto the tangent space at square orthogonal ``X``.
 
-    ``P_X(Z) = (I - X X^T) Z + X skew(X^T Z)`` with
-    ``skew(M) = (M - M^T) / 2``; the result always satisfies
-    ``X^T P_X(Z)`` skew-symmetric.
+    ``P_X(Z) = X skew(X^T Z)`` with ``skew(M) = (M - M^T) / 2``; the
+    rectangular Stiefel term ``(I - X X^T) Z`` is zero for square ``X``.
     """
     Xv = X.values
     Z = np.asarray(Z, dtype=float)
@@ -91,13 +88,14 @@ def stiefel_project(X: OrthogonalMatrix, Z: np.ndarray) -> np.ndarray:
         raise ValueError(f"stiefel_project: shapes disagree, {Z.shape} vs {Xv.shape}")
     _require_finite(Z, "stiefel_project")
     XtZ = Xv.T @ Z
-    return Z - Xv @ XtZ + Xv @ (0.5 * (XtZ - XtZ.T))
+    return Xv @ (0.5 * (XtZ - XtZ.T))
 
 
 def stiefel_retract(X: OrthogonalMatrix, Z: np.ndarray) -> OrthogonalMatrix:
-    """Retract a tangent step back onto the manifold.
+    """Retract a step onto the orthogonal group: the polar factor of ``X + Z``.
 
-    ``R_X(Z) = (X + Z)(I + Z^T Z)^{-1/2}``; the zero step returns ``X``
+    ``U V^T`` for the SVD ``X + Z = U diag(sigma) V^T``, which for a tangent
+    ``Z`` equals ``(X + Z)(I + Z^T Z)^{-1/2}``; the zero step returns ``X``
     itself, exactly.
     """
     Xv = X.values
@@ -107,44 +105,25 @@ def stiefel_retract(X: OrthogonalMatrix, Z: np.ndarray) -> OrthogonalMatrix:
     _require_finite(Z, "stiefel_retract")
     if not Z.any():
         return X
-    M = np.eye(Xv.shape[0]) + Z.T @ Z
-    return OrthogonalMatrix((Xv + Z) @ matrix_inv_sqrt(M))
-
-
-def matrix_inv_sqrt(M: np.ndarray) -> np.ndarray:
-    """Inverse square root of an SPD matrix via its eigendecomposition."""
-    M = np.asarray(M, dtype=float)
-    _require_square(M, "matrix_inv_sqrt")
-    asym = float(np.max(np.abs(M - M.T)))
-    if asym > INV_SQRT_SYM_TOL:
-        raise ValueError(f"matrix_inv_sqrt: matrix is asymmetric by {asym:.3e}")
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    if w[0] <= 0.0:
-        raise ValueError(f"matrix_inv_sqrt: matrix is not positive definite (min eig {w[0]:.3e})")
-    R = (V / np.sqrt(w)) @ V.T
-    return 0.5 * (R + R.T)
+    U, _, Vt = np.linalg.svd(Xv + Z)
+    return OrthogonalMatrix(U @ Vt)
 
 
 def stiefel_sgd_step(kernel: SPDKernel, dL_dP: np.ndarray, lr: float, d_diag: np.ndarray) -> SPDKernel:
     """One Riemannian SGD step on the orthogonal factor.
 
-    The Euclidean gradient ``dL_dP`` is projected to the tangent space at
-    the current ``P`` and retracted; the diagonal parameters move through
-    the arctan chart.  The next kernel is assembled from the Cayley
-    preimage of the retracted ``P``, so a checkpoint reloads it bitwise.
+    ``P`` moves to the polar factor of ``P - lr * P skew(P^T dL_dP)`` and
+    the diagonal parameters through the arctan chart.  The next kernel is
+    assembled from the Cayley preimage of the retracted ``P``, so a
+    checkpoint reloads it bitwise.
     """
-    return _stiefel_move(kernel, stiefel_project(kernel.P, np.asarray(dL_dP, dtype=float)), lr, d_diag)
-
-
-def _stiefel_move(kernel: SPDKernel, Z: np.ndarray, lr: float, d_diag: np.ndarray) -> SPDKernel:
-    """``stiefel_sgd_step`` from the tangent ``Z``, already projected."""
     if not 0 < lr < np.inf:
         raise ValueError("stiefel_sgd_step: lr must be positive and finite")
     d_diag = np.asarray(d_diag, dtype=float)
     if d_diag.shape != kernel.diag_params.t.shape:
         raise ValueError("stiefel_sgd_step: d_diag shape disagrees with the parameters")
     _require_finite(d_diag, "stiefel_sgd_step")
-    newP = stiefel_retract(kernel.P, -lr * Z)
+    newP = stiefel_retract(kernel.P, -lr * stiefel_project(kernel.P, dL_dP))
     t = DiagParams(t=kernel.diag_params.t - lr * d_diag)
     return assemble_kernel(pack_skew(cayley_inverse(newP)), t)
 
@@ -167,7 +146,7 @@ def gradient_step(
     d_diag = dL_dlam * dlambda_dt(kernel.diag_params)
     Z = stiefel_project(kernel.P, dL_dP)
     grad_norm = float(max(np.max(np.abs(Z)), np.max(np.abs(d_diag))))
-    return grad_norm, lambda lr: _stiefel_move(kernel, Z, lr, d_diag)
+    return grad_norm, lambda lr: stiefel_sgd_step(kernel, dL_dP, lr, d_diag)
 
 
 def finite_difference_oracle(
@@ -209,6 +188,8 @@ def step_benchmark(dim: int, mode: str, iters: int = 20) -> float:
     Runs ``iters`` steps against a fixed random symmetric gradient on
     ``W`` and averages; used for reporting only.
     """
+    if iters < 1:
+        raise ValueError(f"step_benchmark: iters must be at least 1, got {iters}")
     rng = np.random.default_rng(0)
     kernel = identity_kernel(dim)
     A = rng.standard_normal((dim, dim)) * 0.01

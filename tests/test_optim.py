@@ -17,7 +17,6 @@ from lcv.optim import (
     OptimizerConfig,
     cayley_sgd_step,
     finite_difference_oracle,
-    matrix_inv_sqrt,
     step_benchmark,
     stiefel_project,
     stiefel_retract,
@@ -125,26 +124,15 @@ class TestStiefelGeometry:
         # no drift accumulates over the whole walk
         assert np.max(np.abs(X.values.T @ X.values - np.eye(6))) < 1e-7
 
-
-class TestMatrixInvSqrt:
-    def test_diagonal_case(self):
-        R = matrix_inv_sqrt(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(R, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
-
-    def test_inverts_square(self):
-        rng = np.random.default_rng(27)
-        A = rng.standard_normal((5, 5))
-        M = A @ A.T + 5.0 * np.eye(5)
-        R = matrix_inv_sqrt(M)
-        np.testing.assert_allclose(R @ M @ R, np.eye(5), atol=1e-9)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            matrix_inv_sqrt(np.diag([1.0, -1.0]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            matrix_inv_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    @pytest.mark.parametrize("c", [16, 64, 128])
+    def test_retraction_stays_orthogonal_at_large_steps(self, c):
+        # The polar factor is orthonormal to rounding however long the step.
+        rng = np.random.default_rng(c)
+        X = cayley_forward(unpack_skew(SkewParams(entries=rng.standard_normal(c * (c - 1) // 2), dim=c)))
+        Z = stiefel_project(X, rng.standard_normal((c, c)))
+        for size in (1e2, 1e3, 1e4, 1e5):
+            Y = stiefel_retract(X, Z * (size / np.max(np.abs(Z)))).values
+            assert np.max(np.abs(Y.T @ Y - np.eye(c))) < 1e-14
 
 
 class TestStiefelStep:
@@ -235,14 +223,16 @@ class TestValidation:
                      "stiefel_retract: shapes disagree", id="retract-shape"),
         pytest.param(lambda: stiefel_retract(X2, NAN2),
                      "stiefel_retract: values must be finite", id="retract-finite"),
-        pytest.param(lambda: matrix_inv_sqrt(np.ones((2, 3))),
-                     "matrix_inv_sqrt: expected a square matrix", id="inv-sqrt-square"),
         pytest.param(lambda: stiefel_sgd_step(identity_kernel(2), np.zeros((2, 2)), 0.0, np.zeros(2)),
                      "stiefel_sgd_step: lr must be positive and finite", id="step-lr"),
         pytest.param(lambda: stiefel_sgd_step(identity_kernel(2), np.zeros((2, 2)), 0.1, np.zeros(3)),
                      "stiefel_sgd_step: d_diag shape disagrees", id="step-d-diag-shape"),
         pytest.param(lambda: stiefel_sgd_step(identity_kernel(2), np.zeros((2, 2)), 0.1, [np.nan, 0.0]),
                      "stiefel_sgd_step: values must be finite", id="step-d-diag-finite"),
+        pytest.param(lambda: step_benchmark(8, "stiefel", iters=0),
+                     "step_benchmark: iters must be at least 1", id="benchmark-iters-zero"),
+        pytest.param(lambda: step_benchmark(8, "cayley", iters=-1),
+                     "step_benchmark: iters must be at least 1", id="benchmark-iters-negative"),
     ])
     def test_invalid_input_rejected(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
