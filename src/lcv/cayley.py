@@ -6,11 +6,13 @@ matrix sets:
 * ``cayley_forward`` sends a skew-symmetric matrix ``S`` to the rotation
   ``P = (I - S)(I + S)^{-1}``.  Its image is exactly the set of special
   orthogonal matrices whose spectrum avoids -1, written ``SO*(n)``
-  throughout this package, and ``cayley_inverse`` recovers
-  ``S = (I + P)^{-1}(I - P)``.
+  throughout this package.  The map is its own inverse, so
+  ``cayley_inverse`` recovers ``S = (I + P)^{-1}(I - P)`` by the same solve.
 * ``lambda_from_t`` sends a free real vector ``t`` to a strictly positive
-  vector through ``(pi + 2 arctan t) / (pi - 2 arctan t)``, with the
-  analytic inverse ``t_from_lambda``.
+  vector through ``(pi + 2 arctan t) / (pi - 2 arctan t)``, computed as
+  ``arctan2(1, -t) / arctan2(1, t)`` since ``pi/2 +- arctan t =
+  arctan2(1, -+t)``; ``dlam/dt = (1 + lam)^2 / (pi (1 + t^2))``, and
+  ``t_from_lambda`` inverts ``arctan2(1, t) = pi / (1 + lam)``.
 
 ``so_star_path`` builds an explicit continuous path inside ``SO*(n)`` from
 the identity to any member, by shrinking the rotation angles of the
@@ -206,6 +208,14 @@ class SOStarCheck:
         return self.is_member
 
 
+def _require_skew(S: np.ndarray, who: str) -> None:
+    _require_square(S, who)
+    _require_finite(S, who)
+    asym = float(np.max(np.abs(S + S.T)))
+    if asym > SKEW_TOL:
+        raise ValueError(f"{who}: matrix is not skew-symmetric (deviation {asym:.3e})")
+
+
 def pack_skew(S: np.ndarray) -> SkewParams:
     """Extract the free parameters of a skew-symmetric matrix.
 
@@ -220,11 +230,7 @@ def pack_skew(S: np.ndarray) -> SkewParams:
         Strictly-lower-triangular entries of ``S`` in row-major order.
     """
     S = np.asarray(S, dtype=float)
-    _require_square(S, "pack_skew")
-    _require_finite(S, "pack_skew")
-    asym = float(np.max(np.abs(S + S.T)))
-    if asym > SKEW_TOL:
-        raise ValueError(f"pack_skew: matrix is not skew-symmetric (deviation {asym:.3e})")
+    _require_skew(S, "pack_skew")
     n = S.shape[0]
     rows, cols = np.tril_indices(n, -1)
     return SkewParams(entries=S[rows, cols], dim=n)
@@ -239,30 +245,31 @@ def unpack_skew(p: SkewParams) -> np.ndarray:
     return S - S.T
 
 
-def cayley_forward(S: np.ndarray) -> OrthogonalMatrix:
-    """Map a skew-symmetric matrix into SO*(n).
+def _cayley(X: np.ndarray, who: str) -> np.ndarray:
+    """``(I + X)^{-1}(I - X)``, the Cayley map in either direction."""
+    eye = np.eye(X.shape[0])
+    try:
+        return np.linalg.solve(eye + X, eye - X)
+    except np.linalg.LinAlgError as err:
+        cond = float(np.linalg.cond(eye + X))
+        raise NumericalError(f"{who}: linear solve failed; cond(I + X) ~ {cond:.3e}") from err
 
-    Computes ``P = (I - S)(I + S)^{-1}`` with one dense solve; the two
-    factors commute, so ``(I + S)^{-1}(I - S)`` is the same matrix and a
-    single left solve suffices.  ``I + S`` is invertible for every
-    skew-symmetric ``S`` because its singular values are at least 1.
+
+def cayley_forward(S: np.ndarray) -> OrthogonalMatrix:
+    """Map a skew-symmetric matrix into SO*(n): ``P = (I - S)(I + S)^{-1}``.
+
+    The factors commute, so one left solve gives ``P``.  ``I + S`` is
+    invertible for every skew-symmetric ``S`` (its singular values are at
+    least 1); other input is refused, as :func:`pack_skew` refuses it.
     """
     S = np.asarray(S, dtype=float)
-    _require_square(S, "cayley_forward")
-    _require_finite(S, "cayley_forward")
-    eye = np.eye(S.shape[0])
-    try:
-        values = np.linalg.solve(eye + S, eye - S)
-    except np.linalg.LinAlgError as err:
-        cond = float(np.linalg.cond(eye + S))
-        raise NumericalError(
-            f"cayley_forward: linear solve failed; cond(I + S) ~ {cond:.3e}"
-        ) from err
-    return OrthogonalMatrix(values)
+    _require_skew(S, "cayley_forward")
+    return OrthogonalMatrix(_cayley(S, "cayley_forward"))
 
 
 def cayley_inverse(P: OrthogonalMatrix | np.ndarray) -> np.ndarray:
-    """Recover the skew-symmetric preimage ``S = (I + P)^{-1}(I - P)``.
+    """Recover the skew-symmetric preimage ``S = (I + P)^{-1}(I - P)``: the
+    Cayley map is its own inverse.
 
     Membership in SO*(n) is checked first; matrices carrying an eigenvalue
     at -1 have no preimage and raise :class:`NotInSOStarError` with the
@@ -270,8 +277,7 @@ def cayley_inverse(P: OrthogonalMatrix | np.ndarray) -> np.ndarray:
     """
     values = P.values if isinstance(P, OrthogonalMatrix) else np.asarray(P, dtype=float)
     _require_so_star(values, "cayley_inverse")
-    eye = np.eye(values.shape[0])
-    S = np.linalg.solve(eye + values, eye - values)
+    S = _cayley(values, "cayley_inverse")
     # The exact preimage is skew; wipe the round-off asymmetry.
     return 0.5 * (S - S.T)
 
@@ -311,31 +317,25 @@ def _require_so_star(values: np.ndarray, who: str) -> None:
         )
 
 
-def _arctan_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``pi + 2 arctan t`` and ``pi - 2 arctan t``; past ``|t| = 1``, where one
-    would cancel, it is taken as ``2 arctan(1 / |t|)``."""
-    a, far = 2.0 * np.arctan(t), 2.0 * np.arctan2(1.0, np.abs(t))
-    return np.where(t < -1.0, far, np.pi + a), np.where(t > 1.0, far, np.pi - a)
-
-
 def lambda_from_t(t: DiagParams | np.ndarray) -> np.ndarray:
     """Map free reals to positive diagonal entries.
 
     ``lam(t) = (pi + 2 arctan t) / (pi - 2 arctan t)`` is strictly
     increasing with ``lam(0) = 1`` and ``lam(t) * lam(-t) = 1``, so the
     zero vector parameterizes the identity scaling and sign flips invert
-    scales.  It is finite and positive wherever representable.
+    scales.  As ``pi/2 +- arctan t = arctan2(1, -+t)``, it is taken as
+    ``arctan2(1, -t) / arctan2(1, t)``, finite and positive for all finite ``t``.
     """
     arr = t.t if isinstance(t, DiagParams) else np.asarray(t, dtype=float)
     _require_finite(arr, "lambda_from_t")
-    num, den = _arctan_terms(arr)
-    return num / den
+    return np.arctan2(1.0, -arr) / np.arctan2(1.0, arr)
 
 
 def t_from_lambda(lam: np.ndarray) -> DiagParams:
     """Analytic inverse of :func:`lambda_from_t` for strictly positive input:
-    ``t = cot(pi / (lam + 1))``, taken below ``lam = 1`` as
-    ``-cot(pi lam / (lam + 1))`` so the angle never rounds onto a pole."""
+    from ``arctan2(1, t) = pi / (1 + lam)``, ``t = cot(pi / (lam + 1))``, taken
+    below ``lam = 1`` as ``-cot(pi lam / (lam + 1))`` so the angle never
+    rounds onto a pole."""
     lam = np.asarray(lam, dtype=float)
     _require_finite(lam, "t_from_lambda")
     if np.any(lam <= 0.0):
@@ -344,15 +344,12 @@ def t_from_lambda(lam: np.ndarray) -> DiagParams:
 
 
 def dlambda_dt(t: DiagParams | np.ndarray) -> np.ndarray:
-    """Derivative of :func:`lambda_from_t`, ``4 pi / ((1 + t^2)(pi - 2 arctan t)^2)``,
-    past ``|t| = 1`` as ``(2 sqrt(pi) / (hypot(1, t) (pi - 2 arctan t)))^2``,
-    which does not overflow."""
+    """Derivative of :func:`lambda_from_t`, ``(1 + lam)^2 / (pi (1 + t^2))``;
+    with ``1 + lam = pi / arctan2(1, t)`` it is ``(pi / hypot(1, t) /
+    arctan2(1, t))^2 / pi``, where every quotient lies in ``(0, pi]``."""
     arr = t.t if isinstance(t, DiagParams) else np.asarray(t, dtype=float)
     _require_finite(arr, "dlambda_dt")
-    near = np.clip(arr, -1.0, 1.0)
-    far = (2.0 * np.sqrt(np.pi) / (np.hypot(1.0, arr) * _arctan_terms(arr)[1])) ** 2
-    return np.where(np.abs(arr) > 1.0, far,
-                    4.0 * np.pi / ((1.0 + near**2) * (np.pi - 2.0 * np.arctan(near)) ** 2))
+    return (np.pi / np.hypot(1.0, arr) / np.arctan2(1.0, arr)) ** 2 / np.pi
 
 
 def so_star_path(P: OrthogonalMatrix, steps: int) -> list[OrthogonalMatrix]:

@@ -78,6 +78,18 @@ def test_aggregate_counts_wins_ties_and_worse_by_per_direction():
     assert rate["change_worse_by"] == -(23.0 - 21.5) / 21.5
 
 
+@pytest.mark.parametrize("parent, change, within, unresolved", [
+    ([10.0, 11.0, 12.0, 13.0], [11.0, 12.0, 13.0, 14.0], True, False),  # 8.7% worse
+    ([10.0, 11.0, 12.0, 13.0], [15.0, 16.0, 17.0, 18.0], False, False),  # 43% worse
+    ([5.0, 10.0, 15.0, 20.0], [6.0, 11.0, 16.0, 21.0], True, True),  # parent IQR 60% of median
+    ([5.0, 10.0, 15.0, 20.0], [1.0, 2.0, 3.0, 4.0], True, False),  # every change run better
+], ids=["inside_bound", "beyond_bound", "wide_spread", "wide_spread_every_run_better"])
+def test_compare_states_the_no_regression_verdict(parent, change, within, unresolved):
+    got = bench_pairs.compare(METRICS[0], parent, change)
+    assert got["within_bound"] is within
+    assert got["unresolved"] is unresolved
+
+
 @pytest.mark.parametrize("gain, wins, met", [
     (5.0, 10, True),     # every pair won, by more than the parent's IQR
     (0.5, 10, False),    # every pair won, but by less than the parent's IQR

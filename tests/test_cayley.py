@@ -115,6 +115,14 @@ class TestCayleyForward:
         with pytest.raises(ValueError):
             cayley_forward(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("S", [np.array([[0.0, 1.0], [1.0, 0.0]]), -np.eye(2), np.eye(2)],
+                             ids=["symmetric", "minus_identity", "identity"])
+    def test_rejects_non_skew(self, S):
+        # Skew input is what makes I + S invertible and P orthogonal; other
+        # input is malformed, not a numerical failure.
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            cayley_forward(S)
+
     @pytest.mark.parametrize("n", (2, 16, 64, 128))
     def test_half_of_i_plus_p_inverts_i_plus_s(self, n):
         # (I + S)(I + P) = (I + S) + (I - S) = 2I, which lets gradients
@@ -252,6 +260,30 @@ class TestLambdaMaps:
         assert abs(lam[0] * lam[2] - 1.0) <= 4 * np.finfo(float).eps
         assert np.all(np.isfinite(slope)) and np.all(slope >= 0)
         np.testing.assert_allclose(back, t, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 here")
+    def test_within_a_few_ulp_of_long_double(self):
+        # Within [-10, 10] and at every scale up to 1e300, against the same
+        # closed forms in long double, and near zero against the paper's form.
+        rng = np.random.default_rng(31)
+        sign = rng.choice([-1.0, 1.0], 4000)
+        t = np.concatenate([rng.uniform(-10.0, 10.0, 4000), sign * 10.0 ** rng.uniform(-300, 300, 4000)])
+        tl = t.astype(np.longdouble)
+        pi = 4 * np.arctan(np.longdouble(1))
+        den = np.arctan2(np.longdouble(1), tl)
+        lam = np.arctan2(np.longdouble(1), -tl) / den
+        slope = (pi / np.hypot(np.longdouble(1), tl) / den) ** 2 / pi
+
+        def ulps(got, ref):
+            return np.abs(got - ref) / np.spacing(np.abs(ref.astype(float)))
+
+        assert np.max(ulps(lambda_from_t(t), lam)) <= 3
+        assert np.max(ulps(dlambda_dt(t), slope)) <= 8
+        near = np.abs(t) <= 1.0
+        assert near.sum() > 500
+        paper = (pi + 2 * np.arctan(tl[near])) / (pi - 2 * np.arctan(tl[near]))
+        assert np.max(ulps(lambda_from_t(t[near]), paper)) <= 3
 
 
 class TestSOStarPath:

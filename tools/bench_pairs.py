@@ -11,7 +11,8 @@ drift in the host's speed does not favour either side.  The run length
 and the end-to-end metrics, with their units, directions and bounds,
 come from the change tree's ``BENCHMARK.json``.  Per metric and side the file holds every run, the
 median and the ``numpy.percentile`` quartiles (linear interpolation);
-per pair, whether the change won, tied or lost.  Per workload and side it
+per pair, whether the change won, tied or lost; and the no-regression
+verdict, ``within_bound`` and ``unresolved`` (see ``compare``).  Per workload and side it
 also holds the minor page faults of each run's process (``getrusage`` of
 the waited-for children, taken around each run), with their median and
 quartiles, and the same per operation: each run's faults over the
@@ -77,16 +78,23 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     """One metric over paired runs; ``spec`` is its ``BENCHMARK.json`` entry.
 
     ``change_worse_by`` is the change's median relative to the parent's,
-    signed so that positive means worse.
+    signed so that positive means worse; ``within_bound`` is whether it is
+    at most the bound.  ``unresolved`` is set when the parent's own spread
+    (its IQR over its median) exceeds the bound, unless every change run
+    beats every parent run: no verdict can then be read from the medians.
     """
     sign = 1.0 if spec["better"] == "lower" else -1.0
     p, c = summary(parent), summary(change)
+    worse_by = sign * (c["median"] - p["median"]) / p["median"]
+    every_run_better = max(sign * x for x in change) < min(sign * x for x in parent)
     return {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": p, "change": c,
         "change_wins": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
         "ties": sum(a == b for a, b in zip(parent, change)),
-        "change_worse_by": sign * (c["median"] - p["median"]) / p["median"],
+        "change_worse_by": worse_by,
+        "within_bound": worse_by <= spec["bound"],
+        "unresolved": p["iqr"] / p["median"] > spec["bound"] and not every_run_better,
     }
 
 
